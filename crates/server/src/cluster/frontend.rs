@@ -14,9 +14,8 @@
 //! Lock order (deadlock discipline, extending DESIGN.md §11's map → room
 //! order): `directory`, `health`, and `journals` are frontend-level locks,
 //! acquired and released *before* any shard is entered, never while an
-//! ingress, room-map, or room lock is held (the one exception: `journals`
-//! may be held across *control-plane* shard calls — tap/checkpoint — which
-//! take room locks but never ingress). The per-shard `ingress` lock is
+//! ingress, room-map, or room lock is held; under `journals` only a
+//! change log's own (leaf) lock is taken. The per-shard `ingress` lock is
 //! taken only by the data-plane `route`, holds no frontend lock, and is
 //! never nested with another shard's ingress.
 
@@ -26,7 +25,6 @@ use crate::resync::Resync;
 use crate::role::{JoinRequest, Role};
 use crate::room::{RoomConfig, RoomId, RoomStats, SharedObjectId};
 use crate::server::{ClientConnection, InteractionServer};
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use rcmo_core::Presentation;
 use rcmo_imaging::GrayImage;
@@ -279,14 +277,11 @@ impl ClusterFrontend {
     /// *newly* declared dead — the caller decides when to fail them over
     /// (see [`Self::fail_over_shard`]).
     pub fn advance(&self, dt_s: f64) -> Vec<ShardId> {
-        let newly_dead = {
-            let mut health = self.health.lock();
-            let newly_dead = health.advance(dt_s);
-            for (s, gauge) in self.shard_health_gauges.iter().enumerate() {
-                gauge.set(health.health(s).as_gauge());
-            }
-            newly_dead
-        };
+        let mut health = self.health.lock();
+        let newly_dead = health.advance(dt_s);
+        for (s, gauge) in self.shard_health_gauges.iter().enumerate() {
+            gauge.set(health.health(s).as_gauge());
+        }
         newly_dead
     }
 
@@ -365,31 +360,22 @@ impl ClusterFrontend {
         }
     }
 
-    /// Taps a room on its shard and installs (or resets) its journal with
-    /// a fresh checkpoint. Control-plane: takes room locks, not ingress.
+    /// Installs (or resets) a room's journal with a fresh checkpoint and a
+    /// cursor into the room's change log just past it, taken under one
+    /// room lock. Control-plane: takes a room lock, not ingress.
     fn attach_journal(&self, room: RoomId, shard: ShardId) -> Result<()> {
-        let server = &self.shards[shard].server;
-        let (tx, rx) = unbounded();
-        server.tap_room(room, tx)?;
-        let checkpoint = {
-            let handle = server.room_handle(room)?;
-            let mut guard = handle.lock();
-            guard.export_state()
-        };
-        let mut journals = self.journals.lock();
-        match journals.get_mut(&room) {
-            Some(j) => j.reset(checkpoint, rx),
-            None => {
-                journals.insert(
-                    room,
-                    RoomJournal::new(checkpoint, rx, self.config.journal_tail_cap),
-                );
-            }
-        }
+        let handle = self.shards[shard].server.room_handle(room)?;
+        let mut room_guard = handle.lock();
+        let cursor = crate::fanout::replica_stream(room_guard.change_log());
+        // A fresh checkpoint subsumes every event the old journal drained.
+        let cap = self.config.journal_tail_cap;
+        let journal = RoomJournal::new(room_guard.export_state(), cursor, cap);
+        drop(room_guard);
+        self.journals.lock().insert(room, journal);
         Ok(())
     }
 
-    /// Replica maintenance: drains every room's replication stream and
+    /// Replica maintenance: drains every room's journal cursor and
     /// folds any journal tail that outgrew
     /// [`ClusterConfig::journal_tail_cap`] into its checkpoint. Returns
     /// the number of journals compacted. Run this periodically (the
@@ -405,7 +391,6 @@ impl ClusterFrontend {
         let mut journals = self.journals.lock();
         let mut compacted = 0;
         for (&room, journal) in journals.iter_mut() {
-            journal.drain();
             if let Some((evicted, lossy)) = journal.compact_if_over(room, self.clock.clone())? {
                 self.journal_compactions.inc();
                 self.journal_evicted.add(evicted);
@@ -425,18 +410,15 @@ impl ClusterFrontend {
         self.attach_journal(room, shard)
     }
 
-    /// Drains a room's replication stream and reports the replica's reach:
+    /// Drains a room's journal cursor and reports the replica's reach:
     /// `(last replicated sequence number, drained tail length)`. A replica
     /// is *current* when the first component equals the room's
     /// [`Self::last_seq`] — the invariant the zero-loss failover gate
     /// checks before killing a shard.
     pub fn replication_status(&self, room: RoomId) -> Result<(u64, usize)> {
         let mut journals = self.journals.lock();
-        let journal = journals
-            .get_mut(&room)
-            .ok_or(ServerError::UnknownRoom(room))?;
-        journal.drain();
-        Ok((journal.last_replicated_seq(), journal.tail_len()))
+        let journal = journals.get_mut(&room);
+        Ok(journal.ok_or(ServerError::UnknownRoom(room))?.status())
     }
 
     /// Closes a room cluster-wide: shard, directory, and journal.
@@ -575,8 +557,7 @@ impl ClusterFrontend {
         user: &str,
         last_seen_seq: u64,
     ) -> Result<(ClientConnection, Resync)> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.resync(room, &user, last_seen_seq))
+        self.route(room, move |srv| srv.resync(room, user, last_seen_seq))
             .map_err(|e| Self::join_cause(room, e))
     }
 
@@ -592,8 +573,7 @@ impl ClusterFrontend {
 
     /// Leaves a room.
     pub fn leave(&self, room: RoomId, user: &str) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.leave(room, &user))
+        self.route(room, move |srv| srv.leave(room, user))
     }
 
     /// Performs an action in a room. A *global* document operation is a
@@ -603,8 +583,7 @@ impl ClusterFrontend {
     /// the derived variable in the replica instead.
     pub fn act(&self, room: RoomId, user: &str, action: Action) -> Result<()> {
         let barrier = matches!(&action, Action::ApplyOperation { global: true, .. });
-        let user = user.to_string();
-        self.route(room, move |srv| srv.act(room, &user, action.clone()))?;
+        self.route(room, move |srv| srv.act(room, user, action.clone()))?;
         if barrier {
             self.checkpoint_room(room)?;
         }
@@ -613,14 +592,12 @@ impl ClusterFrontend {
 
     /// The viewer's current presentation.
     pub fn presentation(&self, room: RoomId, user: &str) -> Result<Presentation> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.presentation(room, &user))
+        self.route(room, move |srv| srv.presentation(room, user))
     }
 
     /// Renders a viewer's presentation as text.
     pub fn render_presentation(&self, room: RoomId, user: &str) -> Result<String> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.render_presentation(room, &user))
+        self.route(room, move |srv| srv.render_presentation(room, user))
     }
 
     /// The document outline.
@@ -633,8 +610,7 @@ impl ClusterFrontend {
     /// come from the shared durable store, not the wire), so the replica
     /// learns of the object through a fresh checkpoint.
     pub fn open_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.open_image(room, &user, object_id))?;
+        self.route(room, move |srv| srv.open_image(room, user, object_id))?;
         self.checkpoint_room(room)
     }
 
@@ -652,9 +628,8 @@ impl ClusterFrontend {
     /// Checkpoint barrier, like [`Self::open_image`]: the close leaves no
     /// room event behind.
     pub fn save_and_close_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.save_and_close_image(room, &user, object_id)
+            srv.save_and_close_image(room, user, object_id)
         })?;
         self.checkpoint_room(room)
     }
@@ -669,8 +644,7 @@ impl ClusterFrontend {
         user: &str,
         object_id: u64,
     ) -> Result<crate::delivery::ImageDelivery> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.deliver_image(room, &user, object_id))
+        self.route(room, move |srv| srv.deliver_image(room, user, object_id))
     }
 
     /// Reports one client-observed transfer into the member's bandwidth
@@ -682,28 +656,24 @@ impl ClusterFrontend {
         bytes: u64,
         elapsed_s: f64,
     ) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.report_transfer(room, &user, bytes, elapsed_s)
+            srv.report_transfer(room, user, bytes, elapsed_s)
         })
     }
 
     /// The member's current bandwidth estimate in the room, if any.
     pub fn estimated_bandwidth(&self, room: RoomId, user: &str) -> Result<Option<f64>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.estimated_bandwidth(room, &user))
+        self.route(room, move |srv| srv.estimated_bandwidth(room, user))
     }
 
     /// Warms the room's object cache from the CP-net prefetch planner.
     pub fn warm_room_cache(&self, room: RoomId, user: &str) -> Result<usize> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.warm_room_cache(room, &user))
+        self.route(room, move |srv| srv.warm_room_cache(room, user))
     }
 
     /// Persists the room's document back to the database.
     pub fn save_document(&self, room: RoomId, user: &str) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.save_document(room, &user))
+        self.route(room, move |srv| srv.save_document(room, user))
     }
 
     /// Runs audio segmentation and shares the summary with the room.
@@ -713,8 +683,7 @@ impl ClusterFrontend {
         user: &str,
         audio_id: u64,
     ) -> Result<Vec<rcmo_audio::Segment>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.analyse_audio(room, &user, audio_id))
+        self.route(room, move |srv| srv.analyse_audio(room, user, audio_id))
     }
 
     /// Registers a dynamic event trigger.
@@ -724,16 +693,14 @@ impl ClusterFrontend {
         user: &str,
         condition: TriggerCondition,
     ) -> Result<u64> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.add_trigger(room, &user, condition.clone())
+            srv.add_trigger(room, user, condition.clone())
         })
     }
 
     /// Removes a trigger (owner only).
     pub fn remove_trigger(&self, room: RoomId, user: &str, trigger: u64) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.remove_trigger(room, &user, trigger))
+        self.route(room, move |srv| srv.remove_trigger(room, user, trigger))
     }
 
     /// Members of a room.
@@ -759,11 +726,10 @@ impl ClusterFrontend {
     /// Reconfigures a room whole — capacity, change-log horizon, member
     /// queue bound — via [`crate::server::InteractionServer::configure_room`].
     /// `user` must hold [`crate::role::Capability::ConfigureRoom`] in the
-    /// room. Replaces the old per-knob setters.
+    /// room.
     pub fn configure_room(&self, room: RoomId, user: &str, config: RoomConfig) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.configure_room(room, &user, config.clone())
+            srv.configure_room(room, user, config.clone())
         })
     }
 
@@ -774,24 +740,19 @@ impl ClusterFrontend {
 
     /// Removes `target` from the room on `by`'s authority.
     pub fn evict(&self, room: RoomId, by: &str, target: &str) -> Result<()> {
-        let by = by.to_string();
-        let target = target.to_string();
-        self.route(room, move |srv| srv.evict(room, &by, &target))
+        self.route(room, move |srv| srv.evict(room, by, target))
     }
 
     /// Hands the presenter seat from `from` to `to`.
     pub fn hand_off_presenter(&self, room: RoomId, from: &str, to: &str) -> Result<()> {
-        let from = from.to_string();
-        let to = to.to_string();
-        self.route(room, move |srv| srv.hand_off_presenter(room, &from, &to))
+        self.route(room, move |srv| srv.hand_off_presenter(room, from, to))
     }
 
     /// The member's current role in the room (live or reserved), if any.
     /// Roles ride the exported [`crate::room::RoomState`], so the answer
     /// is stable across migration and failover.
     pub fn role_of(&self, room: RoomId, user: &str) -> Result<Option<Role>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.role_of(room, &user))
+        self.route(room, move |srv| srv.role_of(room, user))
     }
 
     /// Who holds the room's presenter seat, if anyone.
@@ -817,8 +778,8 @@ impl ClusterFrontend {
 
     /// Live-migrates a room to `target`: freeze on the source, export the
     /// migration-grade state (snapshot + sessions + change-log tail),
-    /// rebuild on the target with the members' live channels re-attached,
-    /// thaw. The room's total order continues with gap-free sequence
+    /// rebuild on the target around the same change log and member
+    /// cursors, thaw. The room's total order continues with gap-free sequence
     /// numbers; calls racing the handoff retry until the directory settles.
     pub fn migrate_room(&self, room: RoomId, target: ShardId) -> Result<()> {
         let t0 = self.clock.now_us();
@@ -909,7 +870,6 @@ impl ClusterFrontend {
                 let Some(journal) = journals.get_mut(&room) else {
                     continue;
                 };
-                journal.drain();
                 journal.rebuild_state(room, self.clock.clone())?
             };
             let (state, lossy) = rebuilt;
@@ -931,7 +891,7 @@ impl ClusterFrontend {
                 .adopt_room(crate::server::DetachedRoom {
                     id: room,
                     state,
-                    members: Vec::new(),
+                    live: None,
                 })?;
             self.attach_journal(room, target)?;
             self.failover_rooms.inc();

@@ -2,15 +2,16 @@
 //! *outside* the owning shard, so a dead shard's rooms can be rebuilt
 //! with zero event loss.
 //!
-//! Every room carries a tap ([`crate::server::InteractionServer::tap_room`])
-//! that feeds its sequenced event stream into an unbounded channel owned by
-//! the frontend — an asynchronous replication stream in miniature. The
-//! journal pairs that stream with the room's last full checkpoint (the
-//! migration-grade [`RoomState`] taken at creation, at each migration, and
-//! on demand): rebuild = restore the checkpoint, then replay the journal
-//! tail through [`Room::ingest_replicated`], which both extends the change
-//! log verbatim (dense, gap-free sequence numbers) and folds each event's
-//! state effect back into the room.
+//! A journal is the room's last full checkpoint (the migration-grade
+//! [`RoomState`] taken at creation, at each migration, and on demand) plus
+//! a cursor into the room's change log that starts just past it — the
+//! same kind of cursor a member's stream is, taken under the same room
+//! lock as the checkpoint, so it neither misses nor repeats an event.
+//! Draining the cursor moves the shared events into the journal's tail.
+//! Rebuild = restore the checkpoint, then replay the tail through
+//! [`Room::ingest_replicated`], which both extends the change log verbatim
+//! (dense, gap-free sequence numbers) and folds each event's state effect
+//! back into the room.
 //!
 //! The tail is **bounded**: a journal whose drained tail outgrows its cap
 //! is compacted — the tail is folded into the checkpoint exactly the way a
@@ -20,9 +21,9 @@
 //! [`ClusterFrontend::maintain_replicas`](crate::cluster::ClusterFrontend::maintain_replicas)).
 
 use crate::error::Result;
+use crate::fanout::EventStream;
 use crate::resync::SequencedEvent;
 use crate::room::{Room, RoomId, RoomState};
-use crossbeam::channel::Receiver;
 use rcmo_obs::{Registry, SharedClock};
 use std::sync::Arc;
 
@@ -32,10 +33,10 @@ pub(crate) struct RoomJournal {
     /// The last full checkpoint; `checkpoint.snapshot.seq` is the sequence
     /// number the checkpoint state reflects.
     checkpoint: RoomState,
-    /// The live replication stream (the room's tap). Events arrive as
-    /// the room's shared encode-once payloads — journaling a broadcast
-    /// costs one pointer, not a payload copy.
-    rx: Receiver<Arc<SequencedEvent>>,
+    /// Cursor into the room's change log at the first event not yet
+    /// drained. Events arrive as the room's shared encode-once payloads —
+    /// journaling a broadcast costs one pointer, not a payload copy.
+    cursor: EventStream,
     /// Drained events with `seq > checkpoint.snapshot.seq`, dense.
     events: Vec<Arc<SequencedEvent>>,
     /// Tail bound: [`Self::compact_if_over`] folds the tail into the
@@ -44,51 +45,31 @@ pub(crate) struct RoomJournal {
 }
 
 impl RoomJournal {
-    /// A journal whose replica starts at `checkpoint`, fed by `rx`, with a
-    /// drained-tail bound of `cap` events. The tap may have been attached
-    /// slightly *before* the checkpoint was exported; the overlap is
-    /// deduplicated by sequence number on drain.
-    pub(crate) fn new(
-        checkpoint: RoomState,
-        rx: Receiver<Arc<SequencedEvent>>,
-        cap: usize,
-    ) -> RoomJournal {
+    /// A journal whose replica starts at `checkpoint`, fed by `cursor`
+    /// (positioned just past the checkpoint), with a drained-tail bound of
+    /// `cap` events.
+    pub(crate) fn new(checkpoint: RoomState, cursor: EventStream, cap: usize) -> RoomJournal {
         RoomJournal {
             checkpoint,
-            rx,
+            cursor,
             events: Vec::new(),
             cap: cap.max(1),
         }
     }
 
-    /// Pulls everything the replication stream has delivered so far into
-    /// the journal tail, dropping events the checkpoint already reflects.
-    pub(crate) fn drain(&mut self) {
-        let mut last = self
-            .events
-            .last()
-            .map(|e| e.seq)
-            .unwrap_or(self.checkpoint.snapshot.seq);
-        for ev in self.rx.try_iter() {
-            if ev.seq > last {
-                last = ev.seq;
-                self.events.push(ev);
-            }
-        }
-    }
-
-    /// Sequence number of the newest replicated event (checkpoint seq if
-    /// the tail is empty).
-    pub(crate) fn last_replicated_seq(&self) -> u64 {
-        self.events
-            .last()
-            .map(|e| e.seq)
-            .unwrap_or(self.checkpoint.snapshot.seq)
-    }
-
-    /// Number of events in the drained tail.
-    pub(crate) fn tail_len(&self) -> usize {
-        self.events.len()
+    /// Reports the sequence number of the newest replicated event (the
+    /// checkpoint's if the tail is empty) and the tail length.
+    ///
+    /// This and every other read of the journal first drains its cursor:
+    /// the events the room logged since move into the tail, releasing the
+    /// ring behind them.
+    pub(crate) fn status(&mut self) -> (u64, usize) {
+        self.cursor.drain_shared(&mut self.events);
+        let last = self.events.last().map(|e| e.seq);
+        (
+            last.unwrap_or(self.checkpoint.snapshot.seq),
+            self.events.len(),
+        )
     }
 
     /// Rebuilds the room's state from checkpoint + tail: the failover
@@ -98,17 +79,18 @@ impl RoomJournal {
     /// with a state effect that could not be reconstructed from the event
     /// alone (see [`Room::ingest_replicated`]).
     pub(crate) fn rebuild_state(
-        &self,
+        &mut self,
         room: RoomId,
         clock: SharedClock,
     ) -> Result<(RoomState, u64)> {
+        self.cursor.drain_shared(&mut self.events);
         // A scratch registry: the rebuild is a pure computation; the
         // adopted room re-registers under its destination shard.
         let scratch = Registry::new();
-        let mut r = Room::from_state(room, self.checkpoint.clone(), Vec::new(), &scratch, clock)?;
+        let mut r = Room::from_state(room, self.checkpoint.clone(), None, &scratch, clock)?;
         let mut lossy = 0u64;
         for ev in &self.events {
-            if !r.ingest_replicated(ev) {
+            if !r.ingest_replicated(ev)? {
                 lossy += 1;
             }
         }
@@ -127,6 +109,7 @@ impl RoomJournal {
         room: RoomId,
         clock: SharedClock,
     ) -> Result<Option<(u64, u64)>> {
+        self.cursor.drain_shared(&mut self.events);
         if self.events.len() <= self.cap {
             return Ok(None);
         }
@@ -135,13 +118,5 @@ impl RoomJournal {
         self.checkpoint = state;
         self.events.clear();
         Ok(Some((folded, lossy)))
-    }
-
-    /// Resets the replica: a fresh checkpoint (which subsumes every event
-    /// drained so far) and a fresh stream from the room's new home.
-    pub(crate) fn reset(&mut self, checkpoint: RoomState, rx: Receiver<Arc<SequencedEvent>>) {
-        self.checkpoint = checkpoint;
-        self.rx = rx;
-        self.events.clear();
     }
 }

@@ -745,3 +745,54 @@ fn journal_tail_is_bounded_by_compaction_and_failover_stays_lossless() {
     let (_conn, catch_up) = cf.resync(room, "user-0", last).unwrap();
     assert!(matches!(catch_up, Resync::Events(ref evs) if evs.is_empty()));
 }
+
+#[test]
+fn removed_members_and_a_drained_journal_do_not_pin_the_change_log() {
+    let (cf, doc_id, _) = cluster(1, 5);
+    let room = cf
+        .create_room_with_config(
+            "user-0",
+            "retention",
+            doc_id,
+            RoomConfig::new().with_change_log_capacity(8),
+        )
+        .unwrap();
+    let host = cf.shard_server(0).room_handle(room).unwrap();
+    let keep = cf.join_default(room, "user-0").unwrap();
+    let also = cf.join_default(room, "user-1").unwrap();
+    let dropped = cf.join_default(room, "user-2").unwrap();
+    let stalled = cf
+        .join(room, &JoinRequest::viewer("user-3").with_queue_bound(4))
+        .unwrap();
+    let leaver = cf.join_default(room, "user-4").unwrap();
+    drop(dropped);
+    cf.leave(room, "user-4").unwrap();
+    for i in 0..100 {
+        cf.act(
+            room,
+            "user-0",
+            Action::Chat {
+                text: format!("m{i}"),
+            },
+        )
+        .unwrap();
+        keep.events.try_iter().for_each(drop);
+        also.events.try_iter().for_each(drop);
+        cf.maintain_replicas().unwrap();
+    }
+    assert_eq!(cf.members(room).unwrap(), vec!["user-0", "user-1"]);
+    let stats = cf.room_stats(room).unwrap();
+    assert_eq!((stats.members_reaped, stats.slow_consumers_evicted), (1, 1));
+    let held = host.lock().change_log().held();
+    assert!(
+        held <= 8,
+        "the ring holds {held} events past a horizon of 8"
+    );
+    // The removed streams still end with exactly what they were sent.
+    assert_eq!(stalled.events.try_iter().count(), 4);
+    assert!(leaver.events.try_iter().count() > 0);
+    assert_eq!(
+        cf.replication_status(room).unwrap().0,
+        cf.last_seq(room).unwrap()
+    );
+}

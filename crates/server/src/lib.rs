@@ -22,8 +22,9 @@
 //!   table every mutating entry point checks — the asymmetric lecture
 //!   room layered over the paper's symmetric conference.
 //! * [`fanout`] — encode-once broadcast: each event is encoded once into
-//!   a shared `Arc` payload and fanned out through bounded per-member
-//!   queues; slow consumers are evicted and re-enter via snapshot resync.
+//!   a shared `Arc` payload in the room's change log, which every member
+//!   reads through a lag-bounded cursor; slow consumers are evicted and
+//!   re-enter via snapshot resync.
 //! * [`delivery`] — bandwidth-adaptive layered delivery: per-member EWMA
 //!   bandwidth estimates drive a [`delivery::DeliveryPolicy`] that picks
 //!   an LIC1 layer depth from each object's *real* byte ladder, served

@@ -164,7 +164,7 @@ impl fmt::Display for Capability {
     }
 }
 
-/// A join, spelled out: who, as what, and how their event queue is bounded.
+/// A join, spelled out: who, as what, and how far their stream may lag.
 ///
 /// Replaces the old `join(room, user: &str)` (which could express neither
 /// roles nor per-member delivery policy). Build with the per-role
@@ -183,9 +183,9 @@ pub struct JoinRequest {
     /// The requested role. Granted verbatim or the join is rejected —
     /// the server never silently downgrades.
     pub role: Role,
-    /// Per-member override of the room's bounded send-queue depth
+    /// Per-member override of the room's lag bound, in unread events
     /// (`None` = the room's configured default). A member that lets its
-    /// queue fill is evicted as a slow consumer rather than allowed to
+    /// lag reach it is evicted as a slow consumer rather than allowed to
     /// stall or bloat the broadcast hot path.
     pub queue_bound: Option<usize>,
 }

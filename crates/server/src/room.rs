@@ -3,12 +3,11 @@
 
 use crate::error::{JoinRejectCause, Result, ServerError};
 use crate::events::{Action, Delta, RoomEvent, TriggerCondition};
-use crate::fanout::{event_queue, EventQueue, EventStream, QueueSendError};
+use crate::fanout::{member_stream, EventStream, MemberCursor, SendError};
 use crate::resync::{ChangeLog, Resync, RoomSnapshot, SequencedEvent, DEFAULT_CHANGE_LOG_CAPACITY};
 use crate::role::{Capability, JoinRequest, Role};
-use crossbeam::channel::Sender;
 use rcmo_core::{
-    MultimediaDocument, Presentation, PresentationEngine, ViewerChoice, ViewerSession,
+    ComponentId, MultimediaDocument, Presentation, PresentationEngine, ViewerChoice, ViewerSession,
 };
 use rcmo_imaging::AnnotatedImage;
 use rcmo_obs::{bounds, Counter, Histogram, Metrics, Registry, SharedClock};
@@ -22,10 +21,7 @@ pub type RoomId = u64;
 /// of the underlying image object).
 pub type SharedObjectId = u64;
 
-/// A room's configuration, consolidated: what used to be a scatter of
-/// grown-by-accretion setters (`set_room_capacity`,
-/// `set_change_log_capacity`, and now the member queue bound) is one
-/// builder, accepted whole at room creation
+/// A room's configuration as one builder, accepted whole at room creation
 /// ([`create_room_with_id`](crate::server::InteractionServer::create_room_with_id))
 /// and through the single reconfiguration entry point
 /// ([`configure_room`](crate::server::InteractionServer::configure_room)).
@@ -71,14 +67,16 @@ impl RoomConfig {
         self
     }
 
-    /// Bounds the change-log ring (shrinking evicts the oldest events).
+    /// Sets the change log's replay horizon (shrinking evicts the oldest
+    /// events).
     pub fn with_change_log_capacity(mut self, capacity: usize) -> RoomConfig {
         self.change_log_capacity = capacity;
         self
     }
 
-    /// Bounds each member's event send queue. Applies to members joining
-    /// after the change; a member may still override it per-join via
+    /// Bounds each member's lag: a member already holding this many unread
+    /// events is evicted on the next one. Applies to members joining after
+    /// the change; a member may still override it per-join via
     /// [`JoinRequest::with_queue_bound`].
     pub fn with_member_queue_bound(mut self, bound: usize) -> RoomConfig {
         self.member_queue_bound = bound;
@@ -141,7 +139,7 @@ pub struct RoomStats {
     /// broadcast event, regardless of member count (the encode-once
     /// invariant E19 gates on).
     pub events_encoded: u64,
-    /// Members evicted because their bounded send queue filled (slow
+    /// Members evicted because their lag reached its bound (slow
     /// consumers; they re-enter through snapshot resync).
     pub slow_consumers_evicted: u64,
     /// Mutating calls refused by the role capability table.
@@ -167,7 +165,17 @@ impl RoomStats {
 #[derive(Debug)]
 struct Member {
     name: String,
-    queue: EventQueue,
+    cursor: MemberCursor,
+}
+
+/// A room's change log together with its live members' cursors: what a
+/// live migration hands the destination shard, so clients keep reading
+/// their streams across the move (see
+/// [`DetachedRoom`](crate::server::DetachedRoom)).
+#[derive(Debug)]
+pub struct LiveLog {
+    log: ChangeLog,
+    members: Vec<Member>,
 }
 
 /// A room's full migratable state: what freeze → snapshot exports and what
@@ -190,12 +198,8 @@ pub struct RoomState {
     pub sessions: Vec<(String, ViewerSession)>,
     /// The retained change-log tail ending at `snapshot.seq` (dense).
     pub tail: Vec<SequencedEvent>,
-    /// The change log's ring capacity.
-    pub change_log_capacity: usize,
-    /// Member capacity (`None` = unbounded).
-    pub capacity: Option<usize>,
-    /// Default member queue bound.
-    pub member_queue_bound: usize,
+    /// The room's own configuration.
+    pub config: RoomConfig,
     /// Role assignments, keyed by member name — including *reserved*
     /// seats of members currently disconnected (reaped or slow-evicted),
     /// who reclaim their role on resync. Roles survive migration and
@@ -235,14 +239,13 @@ pub struct Room {
     objects: HashMap<SharedObjectId, AnnotatedImage>,
     freezes: HashMap<SharedObjectId, String>,
     /// The "large memory buffer which maintains the changes made on the
-    /// changed objects" — a bounded ring (see [`ChangeLog`]).
+    /// changed objects" — the room's only event buffer; member streams and
+    /// the replica journal are cursors into it (see [`ChangeLog`]).
     change_log: ChangeLog,
     engine: PresentationEngine,
-    /// Maximum members (`None` = unbounded). Joins beyond it are rejected
-    /// with [`JoinRejectCause::AtCapacity`].
-    capacity: Option<usize>,
-    /// Default bound of each member's send queue (a join may override).
-    member_queue_bound: usize,
+    /// Member capacity and default lag bound; the change log holds the
+    /// replay horizon.
+    config: RoomConfig,
     /// Serialised-document cache for snapshot resyncs: invalidated only
     /// when the shared document actually mutates (a global operation),
     /// so a late-join storm pays one serialisation, not one per joiner.
@@ -254,10 +257,6 @@ pub struct Room {
     /// mutating calls are refused ([`ServerError::Migrating`]) so the
     /// exported state is the room's final word on its shard.
     frozen_for_migration: bool,
-    /// Replication tap: every sequenced event is also sent here (the
-    /// cluster journal that failover rebuilds from). A broken tap is
-    /// dropped silently — it is an observer, never a member.
-    tap: Option<Sender<Arc<SequencedEvent>>>,
     /// Adaptive-delivery state (policy + object cache + per-member
     /// bandwidth estimators), created lazily on the room's first delivery
     /// so rooms that never serve layered objects register no delivery
@@ -297,20 +296,6 @@ impl Room {
         clock: SharedClock,
     ) -> Room {
         let obs = Registry::with_parent(parent);
-        let delivered = obs.counter("server.room.delivered.count");
-        let delivered_bytes = obs.counter("server.room.delivered.bytes");
-        let logged = obs.counter("server.room.logged.count");
-        let delivery_failures = obs.counter("server.room.delivery_failure.count");
-        let reaped = obs.counter("server.room.reaped.count");
-        let encoded = obs.counter("server.room.encode.count");
-        let evicted_slow = obs.counter("server.room.evicted_slow.count");
-        let denied = obs.counter("server.room.denied.count");
-        let snapshot_cache_hits = obs.counter("server.room.snapshot_cache.hit.count");
-        let snapshot_cache_misses = obs.counter("server.room.snapshot_cache.miss.count");
-        let broadcast_lat = obs.histogram("server.room.broadcast.us", bounds::LATENCY_US);
-        let resync_lat = obs.histogram("server.room.resync.us", bounds::LATENCY_US);
-        let resync_replays = obs.counter("server.room.resync.replay.count");
-        let resync_snapshots = obs.counter("server.room.resync.snapshot.count");
         Room {
             id,
             name: name.to_string(),
@@ -324,31 +309,29 @@ impl Room {
             freezes: HashMap::new(),
             change_log: ChangeLog::new(config.change_log_capacity()),
             engine: PresentationEngine::new(),
-            capacity: config.capacity(),
-            member_queue_bound: config.member_queue_bound(),
+            config,
             doc_bytes: None,
             object_bytes: HashMap::new(),
             frozen_for_migration: false,
-            tap: None,
             delivery: None,
-            obs,
             clock,
-            delivered,
-            delivered_bytes,
-            logged,
-            delivery_failures,
-            reaped,
-            encoded,
-            evicted_slow,
-            denied,
-            snapshot_cache_hits,
-            snapshot_cache_misses,
-            broadcast_lat,
-            resync_lat,
-            resync_replays,
-            resync_snapshots,
+            delivered: obs.counter("server.room.delivered.count"),
+            delivered_bytes: obs.counter("server.room.delivered.bytes"),
+            logged: obs.counter("server.room.logged.count"),
+            delivery_failures: obs.counter("server.room.delivery_failure.count"),
+            reaped: obs.counter("server.room.reaped.count"),
+            encoded: obs.counter("server.room.encode.count"),
+            evicted_slow: obs.counter("server.room.evicted_slow.count"),
+            denied: obs.counter("server.room.denied.count"),
+            snapshot_cache_hits: obs.counter("server.room.snapshot_cache.hit.count"),
+            snapshot_cache_misses: obs.counter("server.room.snapshot_cache.miss.count"),
+            broadcast_lat: obs.histogram("server.room.broadcast.us", bounds::LATENCY_US),
+            resync_lat: obs.histogram("server.room.resync.us", bounds::LATENCY_US),
+            resync_replays: obs.counter("server.room.resync.replay.count"),
+            resync_snapshots: obs.counter("server.room.resync.snapshot.count"),
             triggers: Vec::new(),
             next_trigger: 1,
+            obs,
         }
     }
 
@@ -369,10 +352,7 @@ impl Room {
 
     /// The room's current configuration, as one value.
     pub fn config(&self) -> RoomConfig {
-        RoomConfig::new()
-            .with_capacity(self.capacity)
-            .with_change_log_capacity(self.change_log.capacity())
-            .with_member_queue_bound(self.member_queue_bound)
+        self.config.clone()
     }
 
     /// Applies a validated [`RoomConfig`] whole: capacity, change-log ring
@@ -380,9 +360,8 @@ impl Room {
     /// bound (applies to members joining after the change).
     pub(crate) fn apply_config(&mut self, config: &RoomConfig) -> Result<()> {
         config.validate()?;
-        self.capacity = config.capacity();
         self.change_log.set_capacity(config.change_log_capacity());
-        self.member_queue_bound = config.member_queue_bound();
+        self.config = config.clone();
         Ok(())
     }
 
@@ -407,50 +386,43 @@ impl Room {
         &self.doc
     }
 
-    /// Logs `event` (assigning its sequence number), encodes it **once**
-    /// into a shared `Arc` payload, and fans the pointer out to every
-    /// member's bounded queue. Returns the members whose send failed,
-    /// tagged with why — the caller (`broadcast`) removes them: a
-    /// `Disconnected` member is reaped (dead client), a `Full` member is
-    /// evicted as a slow consumer.
-    fn deliver(&mut self, event: RoomEvent) -> Vec<(String, QueueSendError)> {
-        let sequenced = Arc::new(self.change_log.push(event));
+    /// Logs `event` (assigning its sequence number), encoded **once** into
+    /// a shared `Arc` payload every member's cursor reads. Returns the
+    /// members the event could not be sent to, tagged with why — the
+    /// caller (`broadcast`) removes them: a `Disconnected` member is reaped
+    /// (dead client), a `Full` member is evicted as a slow consumer.
+    fn deliver(&mut self, event: RoomEvent) -> Vec<(String, SendError)> {
+        let mut ring = self.change_log.ring().lock();
+        let sequenced = ring.push(event);
         self.logged.inc();
         // One encode per event, regardless of member count — the invariant
         // the E19 fan-out experiment gates on.
         self.encoded.inc();
-        // The replication tap observes the identical total order the
-        // members do; it is not a member (never reaped, never counted).
-        if let Some(tap) = &self.tap {
-            if tap.send(sequenced.clone()).is_err() {
-                self.tap = None;
-            }
-        }
         let size = sequenced.event.encoded_len() as u64;
         let mut failed = Vec::new();
-        for m in &self.members {
-            match m.queue.try_send(sequenced.clone()) {
+        for m in &mut self.members {
+            match m.cursor.send(&mut ring, sequenced.seq) {
                 Ok(()) => {
                     self.delivered.inc();
                     self.delivered_bytes.add(size);
                 }
                 Err(e) => {
-                    if e == QueueSendError::Disconnected {
-                        // The receiver is gone: a crashed client.
+                    if e == SendError::Disconnected {
+                        // The stream is gone: a crashed client.
                         self.delivery_failures.inc();
                     }
                     failed.push((m.name.clone(), e));
                 }
             }
         }
+        ring.trim();
         failed
     }
 
-    /// Broadcasts an event to every member, appends it to the change
-    /// buffer, and removes any member whose send failed — dead connections
-    /// are reaped, members with a full bounded queue are evicted as slow
-    /// consumers. Either way their freezes are released and
-    /// `Released`/`Left` events propagate (which may in turn expose further
+    /// Logs an event for every member and removes any member it could not
+    /// be sent to — dead connections are reaped, members whose lag reached
+    /// its bound are evicted as slow consumers. Either way their freezes
+    /// are released and `Released`/`Left` events propagate (which may in turn expose further
     /// failed members), but their *role stays reserved*: an involuntarily
     /// removed member reclaims their seat through the resync path.
     fn broadcast(&mut self, event: RoomEvent) {
@@ -465,17 +437,10 @@ impl Room {
             self.sessions.remove(&user);
             self.last_presentations.remove(&user);
             match why {
-                QueueSendError::Full => self.evicted_slow.inc(),
-                QueueSendError::Disconnected => self.reaped.inc(),
+                SendError::Full => self.evicted_slow.inc(),
+                SendError::Disconnected => self.reaped.inc(),
             }
-            let released: Vec<SharedObjectId> = self
-                .freezes
-                .iter()
-                .filter(|(_, holder)| holder.as_str() == user)
-                .map(|(&o, _)| o)
-                .collect();
-            for object in released {
-                self.freezes.remove(&object);
+            for object in self.lift_freezes(&user) {
                 failed.extend(self.deliver(RoomEvent::Released {
                     object,
                     by: user.clone(),
@@ -485,6 +450,36 @@ impl Room {
         }
         self.broadcast_lat
             .record(self.clock.now_us().saturating_sub(started));
+    }
+
+    /// Lifts every freeze `user` holds, returning the objects.
+    fn lift_freezes(&mut self, user: &str) -> Vec<SharedObjectId> {
+        let objects: Vec<SharedObjectId> = self
+            .freezes
+            .iter()
+            .filter(|(_, holder)| holder.as_str() == user)
+            .map(|(&o, _)| o)
+            .collect();
+        for object in &objects {
+            self.freezes.remove(object);
+        }
+        objects
+    }
+
+    /// Removes `user` and frees their seat (a voluntary leave or an
+    /// eviction): their freezes are released, then `farewell` is broadcast.
+    fn depart(&mut self, user: &str, farewell: RoomEvent) {
+        self.members.retain(|m| m.name != user);
+        self.sessions.remove(user);
+        self.last_presentations.remove(user);
+        self.roles.remove(user);
+        for object in self.lift_freezes(user) {
+            self.broadcast(RoomEvent::Released {
+                object,
+                by: user.to_string(),
+            });
+        }
+        self.broadcast(farewell);
     }
 
     pub(crate) fn join(&mut self, req: &JoinRequest) -> Result<EventStream> {
@@ -497,7 +492,7 @@ impl Room {
         if self.members.iter().any(|m| m.name == req.user) {
             return Err(ServerError::AlreadyJoined(req.user.clone()));
         }
-        if let Some(cap) = self.capacity {
+        if let Some(cap) = self.config.capacity() {
             if self.members.len() >= cap {
                 return Err(ServerError::JoinRejected {
                     room: self.id,
@@ -514,57 +509,41 @@ impl Room {
                 cause: JoinRejectCause::PresenterSeatTaken,
             });
         }
-        let (queue, stream) = event_queue(req.queue_bound.unwrap_or(self.member_queue_bound));
-        self.members.push(Member {
-            name: req.user.clone(),
-            queue,
-        });
-        self.sessions
-            .entry(req.user.clone())
-            .or_insert_with(|| ViewerSession::new(&req.user));
-        self.roles.insert(req.user.clone(), req.role);
-        self.broadcast(RoomEvent::Joined {
-            user: req.user.clone(),
-            role: req.role,
-        });
+        let bound = req.queue_bound.unwrap_or(self.config.member_queue_bound());
+        let (cursor, stream) = member_stream(&self.change_log, bound);
+        self.admit(&req.user, req.role, cursor);
         Ok(stream)
     }
 
+    /// Seats `user` as a live member reading through `cursor`, and
+    /// announces them.
+    fn admit(&mut self, user: &str, role: Role, cursor: MemberCursor) {
+        let name = user.to_string();
+        self.members.push(Member {
+            name: name.clone(),
+            cursor,
+        });
+        self.sessions
+            .entry(name.clone())
+            .or_insert_with(|| ViewerSession::new(user));
+        self.roles.insert(name.clone(), role);
+        self.broadcast(RoomEvent::Joined { user: name, role });
+    }
+
     pub(crate) fn leave(&mut self, user: &str) -> Result<()> {
-        let before = self.members.len();
-        self.members.retain(|m| m.name != user);
-        if self.members.len() == before {
-            return Err(ServerError::NotInRoom {
-                user: user.to_string(),
-                room: self.id,
-            });
-        }
-        self.sessions.remove(user);
-        self.last_presentations.remove(user);
+        self.require_member(user)?;
         // A voluntary leave gives the seat up — including the presenter
         // seat, which then stands free for the next presenter join.
-        self.roles.remove(user);
-        // Freezes held by the leaver are released.
-        let released: Vec<SharedObjectId> = self
-            .freezes
-            .iter()
-            .filter(|(_, holder)| holder.as_str() == user)
-            .map(|(&o, _)| o)
-            .collect();
-        for object in released {
-            self.freezes.remove(&object);
-            self.broadcast(RoomEvent::Released {
-                object,
-                by: user.to_string(),
-            });
-        }
-        self.broadcast(RoomEvent::Left {
-            user: user.to_string(),
-        });
+        self.depart(
+            user,
+            RoomEvent::Left {
+                user: user.to_string(),
+            },
+        );
         Ok(())
     }
 
-    /// Reconnects `user` with a fresh bounded event queue and computes what
+    /// Reconnects `user` with a fresh event stream and computes what
     /// they missed since `last_seen` (the highest sequence number the
     /// client observed before disconnecting; `0` for "nothing").
     ///
@@ -580,11 +559,9 @@ impl Room {
     /// catch-up is computed first).
     pub(crate) fn resync(&mut self, user: &str, last_seen: u64) -> Result<(EventStream, Resync)> {
         let started = self.clock.now_us();
-        if self.frozen_for_migration {
-            // A resync may rejoin (a membership mutation): refused while
-            // frozen, retried by the cluster after the thaw.
-            return Err(ServerError::Migrating(self.id));
-        }
+        // A resync may rejoin (a membership mutation): refused while
+        // frozen, retried by the cluster after the thaw.
+        self.require_not_migrating()?;
         // Catch-up is computed before any rejoin event so the client never
         // replays its own reconnection.
         let catch_up = match self.change_log.events_since(last_seen) {
@@ -597,28 +574,17 @@ impl Room {
                 Resync::Snapshot(self.snapshot())
             }
         };
-        let (queue, stream) = event_queue(self.member_queue_bound);
+        let (cursor, stream) = member_stream(&self.change_log, self.config.member_queue_bound());
         if let Some(m) = self.members.iter_mut().find(|m| m.name == user) {
             // Still considered a member (dead connection not yet detected):
-            // swap in the live queue silently.
-            m.queue = queue;
+            // swap in the live stream silently.
+            m.cursor = cursor;
         } else {
             // Reclaim the reserved seat (involuntary removal keeps it) or,
             // if none is reserved, re-enter with the symmetric-room default
             // role.
             let role = self.roles.get(user).copied().unwrap_or(Role::Moderator);
-            self.members.push(Member {
-                name: user.to_string(),
-                queue,
-            });
-            self.sessions
-                .entry(user.to_string())
-                .or_insert_with(|| ViewerSession::new(user));
-            self.roles.insert(user.to_string(), role);
-            self.broadcast(RoomEvent::Joined {
-                user: user.to_string(),
-                role,
-            });
+            self.admit(user, role, cursor);
         }
         self.resync_lat
             .record(self.clock.now_us().saturating_sub(started));
@@ -631,48 +597,27 @@ impl Room {
     /// their role by resyncing. The presenter cannot be evicted; the seat
     /// moves only through [`Self::hand_off_presenter`].
     pub(crate) fn evict(&mut self, by: &str, target: &str) -> Result<()> {
-        if self.frozen_for_migration {
-            return Err(ServerError::Migrating(self.id));
-        }
+        self.require_not_migrating()?;
         self.require_capability(by, Capability::EvictMembers)?;
         if by == target {
             return Err(ServerError::Invalid(
                 "cannot evict oneself; leave the room instead".to_string(),
             ));
         }
-        if !self.members.iter().any(|m| m.name == target) {
-            return Err(ServerError::NotInRoom {
-                user: target.to_string(),
-                room: self.id,
-            });
-        }
+        self.require_member(target)?;
         if self.roles.get(target) == Some(&Role::Presenter) {
             return Err(ServerError::Invalid(
                 "the presenter cannot be evicted; the seat moves only through a handoff"
                     .to_string(),
             ));
         }
-        self.members.retain(|m| m.name != target);
-        self.sessions.remove(target);
-        self.last_presentations.remove(target);
-        self.roles.remove(target);
-        let released: Vec<SharedObjectId> = self
-            .freezes
-            .iter()
-            .filter(|(_, holder)| holder.as_str() == target)
-            .map(|(&o, _)| o)
-            .collect();
-        for object in released {
-            self.freezes.remove(&object);
-            self.broadcast(RoomEvent::Released {
-                object,
-                by: target.to_string(),
-            });
-        }
-        self.broadcast(RoomEvent::Evicted {
-            user: target.to_string(),
-            by: by.to_string(),
-        });
+        self.depart(
+            target,
+            RoomEvent::Evicted {
+                user: target.to_string(),
+                by: by.to_string(),
+            },
+        );
         Ok(())
     }
 
@@ -682,21 +627,14 @@ impl Room {
     /// one promoted in one atomic pair of `RoleChanged` events — no folded
     /// prefix of the event order ever shows two presenters.
     pub(crate) fn hand_off_presenter(&mut self, from: &str, to: &str) -> Result<()> {
-        if self.frozen_for_migration {
-            return Err(ServerError::Migrating(self.id));
-        }
+        self.require_not_migrating()?;
         self.require_capability(from, Capability::HandOffPresenter)?;
         if from == to {
             return Err(ServerError::Invalid(
                 "cannot hand the presenter seat to oneself".to_string(),
             ));
         }
-        if !self.members.iter().any(|m| m.name == to) {
-            return Err(ServerError::NotInRoom {
-                user: to.to_string(),
-                room: self.id,
-            });
-        }
+        self.require_member(to)?;
         self.roles.insert(from.to_string(), Role::Moderator);
         self.roles.insert(to.to_string(), Role::Presenter);
         self.broadcast(RoomEvent::RoleChanged {
@@ -720,33 +658,20 @@ impl Room {
     /// the broadcast hot path is never stalled re-encoding an unchanged
     /// document per joiner.
     pub(crate) fn snapshot(&mut self) -> RoomSnapshot {
-        let document = match &self.doc_bytes {
-            Some(bytes) => {
-                self.snapshot_cache_hits.inc();
-                bytes.as_ref().clone()
-            }
-            None => {
-                self.snapshot_cache_misses.inc();
-                let bytes = Arc::new(self.doc.to_bytes());
-                self.doc_bytes = Some(bytes.clone());
-                bytes.as_ref().clone()
-            }
-        };
+        let (hits, misses) = (&self.snapshot_cache_hits, &self.snapshot_cache_misses);
+        let count = |cached: bool| if cached { hits.inc() } else { misses.inc() };
+        count(self.doc_bytes.is_some());
+        let doc = &self.doc;
+        let document = self
+            .doc_bytes
+            .get_or_insert_with(|| Arc::new(doc.to_bytes()));
+        let document = document.as_ref().clone();
         let mut objects: Vec<(SharedObjectId, Vec<u8>)> = Vec::with_capacity(self.objects.len());
         for (&id, img) in &self.objects {
-            let bytes = match self.object_bytes.get(&id) {
-                Some(cached) => {
-                    self.snapshot_cache_hits.inc();
-                    cached.as_ref().clone()
-                }
-                None => {
-                    self.snapshot_cache_misses.inc();
-                    let fresh = Arc::new(img.to_bytes());
-                    self.object_bytes.insert(id, fresh.clone());
-                    fresh.as_ref().clone()
-                }
-            };
-            objects.push((id, bytes));
+            count(self.object_bytes.contains_key(&id));
+            let bytes = self.object_bytes.entry(id);
+            let bytes = bytes.or_insert_with(|| Arc::new(img.to_bytes()));
+            objects.push((id, bytes.as_ref().clone()));
         }
         objects.sort_by_key(|(id, _)| *id);
         let mut freezes: Vec<(SharedObjectId, String)> = self
@@ -787,14 +712,6 @@ impl Room {
         self.members.len()
     }
 
-    /// Attaches (or replaces) the replication tap: a channel that observes
-    /// the room's total event order without being a member. The tap shares
-    /// the encode-once payloads — journaling costs a pointer per event,
-    /// not a payload copy.
-    pub(crate) fn set_tap(&mut self, tap: Sender<Arc<SequencedEvent>>) {
-        self.tap = Some(tap);
-    }
-
     /// Exports the room's full migratable state: the resync snapshot (the
     /// state fold), the per-viewer sessions, and the retained change-log
     /// tail so the destination can serve the same replay horizon. The room
@@ -816,10 +733,13 @@ impl Room {
                 .iter()
                 .map(|(name, s)| (name.clone(), s.clone()))
                 .collect(),
-            tail: self.change_log.retained().cloned().collect(),
-            change_log_capacity: self.change_log.capacity(),
-            capacity: self.capacity,
-            member_queue_bound: self.member_queue_bound,
+            tail: self
+                .change_log
+                .retained()
+                .iter()
+                .map(|e| (**e).clone())
+                .collect(),
+            config: self.config(),
             roles,
             triggers: self.triggers.clone(),
             next_trigger: self.next_trigger,
@@ -827,51 +747,63 @@ impl Room {
     }
 
     /// Rebuilds a room from exported state under a (possibly different)
-    /// shard's registry. `members` supplies the live event channels to
-    /// carry over — a migration passes the source's senders so clients
-    /// keep their streams; a failover passes none and clients resync.
+    /// shard's registry. A migration passes the source's [`LiveLog`]: the
+    /// room keeps that very log and its members' cursors, so clients keep
+    /// their streams. A failover passes `None`: the log is restored from
+    /// the state's tail at the same `next_seq`, and clients resync.
     ///
-    /// The rebuilt room continues the source's total order exactly: its
-    /// change log is restored at the same `next_seq` with the same
-    /// retained tail, so sequence numbers stay gap-free end-to-end.
+    /// Either way the rebuilt room continues the source's total order
+    /// exactly, so sequence numbers stay gap-free end-to-end. A tail or log
+    /// that does not line up with the snapshot is [`ServerError::Invalid`].
     pub(crate) fn from_state(
         id: RoomId,
         state: RoomState,
-        members: Vec<(String, EventQueue)>,
+        live: Option<LiveLog>,
         parent: &Registry,
         clock: SharedClock,
     ) -> Result<Room> {
+        state.config.validate()?;
         let doc = MultimediaDocument::from_bytes(&state.snapshot.document)?;
-        let config = RoomConfig::new()
-            .with_capacity(state.capacity)
-            .with_change_log_capacity(state.change_log_capacity)
-            .with_member_queue_bound(state.member_queue_bound);
+        let (log, members) = match live {
+            Some(live) if live.log.last_seq() == state.snapshot.seq => (live.log, live.members),
+            Some(live) => {
+                return Err(ServerError::Invalid(format!(
+                    "live change log ends at {} but the snapshot reflects {}",
+                    live.log.last_seq(),
+                    state.snapshot.seq
+                )))
+            }
+            None => {
+                let capacity = state.config.change_log_capacity();
+                let log = ChangeLog::restore(capacity, state.snapshot.seq, state.tail)?;
+                (log, Vec::new())
+            }
+        };
         let mut room = Room::new(
             id,
             &state.name,
             state.document_id,
             doc,
-            config,
+            state.config,
             parent,
             clock,
         );
+        room.change_log = log;
         for (oid, bytes) in &state.snapshot.objects {
             room.objects
                 .insert(*oid, AnnotatedImage::from_bytes(bytes)?);
         }
         room.freezes = state.snapshot.freezes.iter().cloned().collect();
         room.sessions = state.sessions.into_iter().collect();
-        room.change_log =
-            ChangeLog::restore(state.change_log_capacity, state.snapshot.seq, state.tail);
         room.roles = state.roles.into_iter().collect();
         room.triggers = state.triggers;
         room.next_trigger = state.next_trigger;
-        for (name, queue) in members {
+        for m in &members {
             room.sessions
-                .entry(name.clone())
-                .or_insert_with(|| ViewerSession::new(&name));
-            room.members.push(Member { name, queue });
+                .entry(m.name.clone())
+                .or_insert_with(|| ViewerSession::new(&m.name));
         }
+        room.members = members;
         Ok(room)
     }
 
@@ -881,17 +813,18 @@ impl Room {
     /// `false` when the event's effect cannot be reconstructed from the
     /// event alone (`OperationApplied` carries the operation name but not
     /// its trigger form) — the caller counts the rebuild as lossy and the
-    /// room serves on with its checkpoint-era document.
+    /// room serves on with its checkpoint-era document. An event out of
+    /// the dense order is [`ServerError::Invalid`].
     ///
     /// Membership is deliberately *not* restored: the dead shard took
-    /// every member channel with it, so the rebuilt room starts with no
+    /// every member stream with it, so the rebuilt room starts with no
     /// members and clients re-enter through the resync path. Sessions
     /// (viewer choices) are restored, so a resyncing client gets their
     /// presentation back, not the default.
-    pub(crate) fn ingest_replicated(&mut self, sequenced: &SequencedEvent) -> bool {
-        self.change_log.push_sequenced(sequenced.clone());
+    pub(crate) fn ingest_replicated(&mut self, sequenced: &SequencedEvent) -> Result<bool> {
+        self.change_log.push_sequenced(sequenced.clone())?;
         self.logged.inc();
-        match &sequenced.event {
+        Ok(match &sequenced.event {
             RoomEvent::Joined { user, role } => {
                 self.sessions
                     .entry(user.clone())
@@ -899,19 +832,13 @@ impl Room {
                 self.roles.insert(user.clone(), *role);
                 true
             }
-            RoomEvent::Left { user } => {
-                // Freeze releases arrive as their own `Released` events.
-                self.sessions.remove(user);
-                self.last_presentations.remove(user);
-                // A journaled `Left` cannot distinguish a voluntary leave
-                // from a reap/slow-evict (which reserves the seat locally),
-                // so the fold conservatively frees it: after a failover no
-                // member channel survives anyway, and a returning member
-                // re-enters through resync with the default role.
-                self.roles.remove(user);
-                true
-            }
-            RoomEvent::Evicted { user, .. } => {
+            // Freeze releases arrive as their own `Released` events. A
+            // journaled `Left` cannot distinguish a voluntary leave from a
+            // reap/slow-evict (which reserves the seat locally), so the fold
+            // conservatively frees it: after a failover no member stream
+            // survives anyway, and a returning member re-enters through
+            // resync with the default role.
+            RoomEvent::Left { user } | RoomEvent::Evicted { user, .. } => {
                 self.sessions.remove(user);
                 self.last_presentations.remove(user);
                 self.roles.remove(user);
@@ -925,7 +852,7 @@ impl Room {
                 // The object is about to mutate: drop its serialised cache.
                 self.object_bytes.remove(object);
                 let Some(img) = self.objects.get_mut(object) else {
-                    return false;
+                    return Ok(false);
                 };
                 match delta {
                     Delta::TextAdded { id, element } => img.add_text(element.clone()) == *id,
@@ -974,13 +901,24 @@ impl Room {
             | RoomEvent::PresentationChanged { .. }
             | RoomEvent::TriggerFired { .. }
             | RoomEvent::AudioAnalysed { .. } => true,
+        })
+    }
+
+    /// Detaches the change log and the live members' cursors (for a
+    /// migration handoff). The room is left member-less with an empty log;
+    /// pair with [`Self::export_state`], called first.
+    pub(crate) fn take_live_log(&mut self) -> LiveLog {
+        LiveLog {
+            log: std::mem::replace(&mut self.change_log, ChangeLog::new(1)),
+            members: std::mem::take(&mut self.members),
         }
     }
 
-    /// Detaches the live member queues (for a migration handoff). The
-    /// room is left member-less; pair with [`Self::export_state`].
-    pub(crate) fn take_member_channels(&mut self) -> Vec<(String, EventQueue)> {
-        self.members.drain(..).map(|m| (m.name, m.queue)).collect()
+    fn require_not_migrating(&self) -> Result<()> {
+        match self.frozen_for_migration {
+            true => Err(ServerError::Migrating(self.id)),
+            false => Ok(()),
+        }
     }
 
     pub(crate) fn require_member(&self, user: &str) -> Result<()> {
@@ -1016,14 +954,43 @@ impl Room {
         }
     }
 
-    fn check_not_frozen_by_other(&self, object: SharedObjectId, user: &str) -> Result<()> {
-        match self.freezes.get(&object) {
-            Some(holder) if holder != user => Err(ServerError::Frozen {
+    /// The object `user` is about to annotate, unless another partner
+    /// froze it. Its serialised cache is dropped: it is about to mutate.
+    fn edit_object(&mut self, object: SharedObjectId, user: &str) -> Result<&mut AnnotatedImage> {
+        if let Some(holder) = self.freezes.get(&object).filter(|h| *h != user) {
+            return Err(ServerError::Frozen {
                 object,
                 holder: holder.clone(),
-            }),
-            _ => Ok(()),
+            });
         }
+        self.object_bytes.remove(&object);
+        self.objects
+            .get_mut(&object)
+            .ok_or(ServerError::UnknownObject(object))
+    }
+
+    /// Sets (`Some`) or withdraws (`None`) `user`'s explicit form choice on
+    /// `component`, then propagates it and their new presentation.
+    fn choose(&mut self, user: &str, component: ComponentId, form: Option<usize>) -> Result<()> {
+        let session = self.sessions.get_mut(user).expect("member has session");
+        match form {
+            Some(form) => session.choose(&self.doc, ViewerChoice { component, form })?,
+            None => session.unchoose(component),
+        }
+        self.broadcast(RoomEvent::ChoiceMade {
+            user: user.to_string(),
+            component,
+            form,
+        });
+        self.push_presentation_update(user)
+    }
+
+    fn object_changed(&mut self, object: SharedObjectId, user: &str, delta: Delta) {
+        self.broadcast(RoomEvent::ObjectChanged {
+            object,
+            by: user.to_string(),
+            delta,
+        });
     }
 
     /// The room's adaptive-delivery state, created from `cfg` on first
@@ -1112,7 +1079,7 @@ impl Room {
     /// cascades).
     fn fire_triggers(&mut self, from_seq: u64) {
         let mut fired: Vec<RoomEvent> = Vec::new();
-        for sequenced in self.change_log.retained_from(from_seq) {
+        for sequenced in &self.change_log.retained_from(from_seq) {
             let event = &sequenced.event;
             if matches!(event, RoomEvent::TriggerFired { .. }) {
                 continue;
@@ -1136,9 +1103,7 @@ impl Room {
     /// the server's core dispatch (the paper's "use case: updating the
     /// presentation", Fig. 4b, plus the object operations of §3).
     pub(crate) fn act(&mut self, user: &str, action: Action) -> Result<()> {
-        if self.frozen_for_migration {
-            return Err(ServerError::Migrating(self.id));
-        }
+        self.require_not_migrating()?;
         self.require_capability(user, Self::capability_for(&action))?;
         let log_start = self.change_log.last_seq() + 1;
         let result = self.act_inner(user, action);
@@ -1173,71 +1138,19 @@ impl Room {
 
     fn act_inner(&mut self, user: &str, action: Action) -> Result<()> {
         match action {
-            Action::Choose { component, form } => {
-                {
-                    let session = self.sessions.get_mut(user).expect("member has session");
-                    session.choose(&self.doc, ViewerChoice { component, form })?;
-                }
-                self.broadcast(RoomEvent::ChoiceMade {
-                    user: user.to_string(),
-                    component,
-                    form: Some(form),
-                });
-                self.push_presentation_update(user)?;
-            }
-            Action::Unchoose { component } => {
-                {
-                    let session = self.sessions.get_mut(user).expect("member has session");
-                    session.unchoose(component);
-                }
-                self.broadcast(RoomEvent::ChoiceMade {
-                    user: user.to_string(),
-                    component,
-                    form: None,
-                });
-                self.push_presentation_update(user)?;
-            }
+            Action::Choose { component, form } => self.choose(user, component, Some(form))?,
+            Action::Unchoose { component } => self.choose(user, component, None)?,
             Action::AddText { object, element } => {
-                self.check_not_frozen_by_other(object, user)?;
-                self.object_bytes.remove(&object);
-                let img = self
-                    .objects
-                    .get_mut(&object)
-                    .ok_or(ServerError::UnknownObject(object))?;
-                let id = img.add_text(element.clone());
-                self.broadcast(RoomEvent::ObjectChanged {
-                    object,
-                    by: user.to_string(),
-                    delta: Delta::TextAdded { id, element },
-                });
+                let id = self.edit_object(object, user)?.add_text(element.clone());
+                self.object_changed(object, user, Delta::TextAdded { id, element });
             }
             Action::AddLine { object, element } => {
-                self.check_not_frozen_by_other(object, user)?;
-                self.object_bytes.remove(&object);
-                let img = self
-                    .objects
-                    .get_mut(&object)
-                    .ok_or(ServerError::UnknownObject(object))?;
-                let id = img.add_line(element);
-                self.broadcast(RoomEvent::ObjectChanged {
-                    object,
-                    by: user.to_string(),
-                    delta: Delta::LineAdded { id, element },
-                });
+                let id = self.edit_object(object, user)?.add_line(element);
+                self.object_changed(object, user, Delta::LineAdded { id, element });
             }
             Action::DeleteElement { object, element } => {
-                self.check_not_frozen_by_other(object, user)?;
-                self.object_bytes.remove(&object);
-                let img = self
-                    .objects
-                    .get_mut(&object)
-                    .ok_or(ServerError::UnknownObject(object))?;
-                img.delete_element(element)?;
-                self.broadcast(RoomEvent::ObjectChanged {
-                    object,
-                    by: user.to_string(),
-                    delta: Delta::ElementDeleted { id: element },
-                });
+                self.edit_object(object, user)?.delete_element(element)?;
+                self.object_changed(object, user, Delta::ElementDeleted { id: element });
             }
             Action::ApplyOperation {
                 component,

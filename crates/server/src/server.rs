@@ -3,11 +3,10 @@
 use crate::delivery::{DeliveryConfig, ImageDelivery};
 use crate::error::{Result, ServerError};
 use crate::events::{Action, TriggerCondition};
-use crate::fanout::{EventQueue, EventStream};
-use crate::resync::{Resync, SequencedEvent};
+use crate::fanout::EventStream;
+use crate::resync::Resync;
 use crate::role::{Capability, JoinRequest, Role};
-use crate::room::{Room, RoomConfig, RoomId, RoomState, RoomStats, SharedObjectId};
-use crossbeam::channel::Sender;
+use crate::room::{LiveLog, Room, RoomConfig, RoomId, RoomState, RoomStats, SharedObjectId};
 use parking_lot::{Mutex, RwLock};
 use rcmo_core::{MultimediaDocument, Presentation};
 use rcmo_imaging::{AnnotatedImage, GrayImage};
@@ -28,8 +27,8 @@ use std::sync::{Arc, OnceLock};
 pub type RoomHandle = Arc<Mutex<Room>>;
 
 /// A room lifted out of its server for a live migration: the exported
-/// [`RoomState`] plus the members' live event queues, which the
-/// destination re-attaches so clients keep their streams across the move.
+/// [`RoomState`] plus the room's change log with its members' cursors,
+/// which the destination keeps so clients read on across the move.
 #[derive(Debug)]
 pub struct DetachedRoom {
     /// The room id (kept across the migration — room ids are
@@ -37,8 +36,10 @@ pub struct DetachedRoom {
     pub id: RoomId,
     /// The exported state (snapshot + sessions + roles + change-log tail).
     pub state: RoomState,
-    /// The live member queues, in join order.
-    pub members: Vec<(String, EventQueue)>,
+    /// The live log and member cursors of a migration. `None` (a failover
+    /// rebuild) restores the log from `state.tail` with no members; clients
+    /// resync.
+    pub live: Option<LiveLog>,
 }
 
 /// A client's end of a room: the user name, the granted role, and the
@@ -57,8 +58,9 @@ pub struct ClientConnection {
     /// so every client observes one identical total order). Each event
     /// carries its sequence number; clients track the highest seen so a
     /// dropped connection can be resumed with
-    /// [`InteractionServer::resync`]. The stream is bounded: a client that
-    /// stops draining it is evicted as a slow consumer and must resync.
+    /// [`InteractionServer::resync`]. The stream's lag is bounded: a client
+    /// that stops draining it is evicted as a slow consumer and must
+    /// resync.
     pub events: EventStream,
 }
 
@@ -304,7 +306,7 @@ impl InteractionServer {
 
     /// Detaches a room for a live migration: the room must already be
     /// frozen (so the exported state is final); it is removed from this
-    /// server's map and returned as state + live member channels. Calls
+    /// server's map and returned as state + live log and member cursors. Calls
     /// routed here afterwards see [`ServerError::UnknownRoom`] — the
     /// cluster layer holds the directory entry in `Migrating` state for
     /// the duration, so clients retry rather than fail.
@@ -320,41 +322,29 @@ impl InteractionServer {
         }
         self.close_room(room)?;
         let mut r = handle.lock();
-        let state = r.export_state();
-        let members = r.take_member_channels();
         Ok(DetachedRoom {
             id: room,
-            state,
-            members,
+            state: r.export_state(),
+            live: Some(r.take_live_log()),
         })
     }
 
     /// Adopts a detached (or failover-rebuilt) room: rebuilds it from the
-    /// exported state under this server's registry, re-attaches the member
-    /// channels, and inserts it thawed. The rebuilt room continues the
-    /// source's event order with gap-free sequence numbers.
+    /// exported state under this server's registry, keeps the live log and
+    /// member cursors if any, and inserts it thawed. The rebuilt room
+    /// continues the source's event order with gap-free sequence numbers;
+    /// a state whose change-log tail breaks that order is
+    /// [`ServerError::Invalid`].
     pub fn adopt_room(&self, detached: DetachedRoom) -> Result<()> {
-        let DetachedRoom { id, state, members } = detached;
-        let room = Room::from_state(id, state, members, &self.obs, self.clock.clone())?;
+        let DetachedRoom { id, state, live } = detached;
+        let room = Room::from_state(id, state, live, &self.obs, self.clock.clone())?;
         self.insert_room(id, Arc::new(Mutex::new(room)))
-    }
-
-    /// Attaches a replication tap to a room: `tap` observes the room's
-    /// sequenced event stream (the identical total order members see)
-    /// without being a member — the cluster's journal feed.
-    pub fn tap_room(&self, room: RoomId, tap: Sender<Arc<SequencedEvent>>) -> Result<()> {
-        self.with_room(room, |r| {
-            r.set_tap(tap);
-            Ok(())
-        })
     }
 
     /// Reconfigures a live room whole — capacity, change-log horizon,
     /// member queue bound — through one entry point. `user` must be a
     /// member holding [`Capability::ConfigureRoom`] (configuration *before*
     /// any member exists belongs to [`Self::create_room_with_config`]).
-    /// Replaces the old per-knob setters (`set_room_capacity`,
-    /// `set_change_log_capacity`).
     pub fn configure_room(&self, room: RoomId, user: &str, config: RoomConfig) -> Result<()> {
         self.with_room(room, |r| {
             r.require_capability(user, Capability::ConfigureRoom)?;
@@ -850,8 +840,8 @@ impl InteractionServer {
         self.obs.snapshot()
     }
 
-    /// Number of events retained in a room's change buffer (bounded by its
-    /// ring capacity).
+    /// Number of events within a room's replay horizon (bounded by its
+    /// change-log capacity).
     pub fn change_log_len(&self, room: RoomId) -> Result<usize> {
         self.with_room(room, |r| Ok(r.change_log().len()))
     }

@@ -1,5 +1,6 @@
 use super::*;
 use crate::events::{Action, Delta, RoomEvent};
+use crate::resync::SequencedEvent;
 use rcmo_core::{ComponentId, FormKind, MediaRef, PresentationForm};
 use rcmo_imaging::{ct_phantom, LineElement, TextElement};
 use rcmo_mediadb::ImageObject;
@@ -1566,7 +1567,7 @@ fn slow_consumer_is_evicted_and_reclaims_role_by_resync() {
     }
     // The stalled member was evicted without ever blocking the presenter.
     assert!(!srv.members(room).unwrap().contains(&"dr-b".to_string()));
-    assert!(srv.room_stats(room).unwrap().slow_consumers_evicted >= 1);
+    assert_eq!(srv.room_stats(room).unwrap().slow_consumers_evicted, 1);
     let prof_saw = drain(&prof);
     assert!(prof_saw.contains(&RoomEvent::Left {
         user: "dr-b".into()
@@ -1584,6 +1585,93 @@ fn slow_consumer_is_evicted_and_reclaims_role_by_resync() {
         Resync::Snapshot(snap) => assert!(snap.seq > 0),
     }
     drop(stalled);
+}
+
+#[test]
+fn stalled_member_is_evicted_at_exactly_its_lag_bound() {
+    let (srv, doc_id, _, _, _) = setup();
+    let room = srv.create_room("dr-a", "lecture", doc_id).unwrap();
+    let prof = srv.join(room, &JoinRequest::presenter("dr-a")).unwrap();
+    let stalled = srv
+        .join(room, &JoinRequest::viewer("dr-b").with_queue_bound(3))
+        .unwrap();
+    // dr-b's own `Joined` is its first unread event; two chats make 3.
+    let joined = srv.last_seq(room).unwrap();
+    let chat = |i: u64| {
+        srv.act(
+            room,
+            "dr-a",
+            Action::Chat {
+                text: format!("slide {i}"),
+            },
+        )
+        .unwrap()
+    };
+    chat(1);
+    chat(2);
+    assert_eq!(stalled.events.len(), 3);
+    assert!(srv.members(room).unwrap().contains(&"dr-b".to_string()));
+    // The first event sent while dr-b holds 3 unread evicts them; their
+    // `Left` directly follows it in the order.
+    chat(3);
+    assert!(!srv.members(room).unwrap().contains(&"dr-b".to_string()));
+    let left: Vec<u64> = prof
+        .events
+        .try_iter()
+        .filter(|e| {
+            e.event
+                == RoomEvent::Left {
+                    user: "dr-b".into(),
+                }
+        })
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(left, vec![joined + 4]);
+    assert_eq!(srv.room_stats(room).unwrap().slow_consumers_evicted, 1);
+    // The stalled stream yields exactly what it was sent, then ends.
+    let seqs: Vec<u64> = stalled.events.try_iter().map(|e| e.seq).collect();
+    assert_eq!(seqs, vec![joined, joined + 1, joined + 2]);
+    chat(4);
+    assert!(stalled.events.try_recv().is_none());
+}
+
+#[test]
+fn adopting_a_tail_that_breaks_the_order_is_invalid_not_a_panic() {
+    let (srv, doc_id, _, _, _) = setup();
+    let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
+    let _a = srv.join_default(room, "dr-a").unwrap();
+    for i in 0..3 {
+        srv.act(
+            room,
+            "dr-a",
+            Action::Chat {
+                text: format!("m{i}"),
+            },
+        )
+        .unwrap();
+    }
+    srv.freeze_room_for_migration(room).unwrap();
+    let state = srv.detach_room(room).unwrap().state;
+    let dest = InteractionServer::new(srv.database().clone());
+    let adopt = |state: RoomState| {
+        dest.adopt_room(DetachedRoom {
+            id: room,
+            state,
+            live: None,
+        })
+    };
+    // A tail with a gap in it.
+    let mut gap = state.clone();
+    gap.tail.remove(1);
+    assert!(matches!(adopt(gap), Err(ServerError::Invalid(_))));
+    // A tail that stops short of the snapshot's sequence number.
+    let mut short = state.clone();
+    short.tail.pop();
+    assert!(matches!(adopt(short), Err(ServerError::Invalid(_))));
+    assert!(dest.room_handle(room).is_err(), "nothing was adopted");
+    // The intact state still adopts.
+    adopt(state).unwrap();
+    assert_eq!(dest.last_seq(room).unwrap(), 4);
 }
 
 #[test]
