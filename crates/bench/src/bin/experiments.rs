@@ -11,17 +11,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcmo::obs::{MetricsSnapshot, Registry};
 use rcmo_audio::features::FeatureConfig;
+use rcmo_audio::gmm::DiagGmm;
+use rcmo_audio::hmm::Hmm;
 use rcmo_audio::segment::{segment_audio, SegmenterModel};
 use rcmo_audio::speaker::{SpeakerModel, SpeakerSpotter};
 use rcmo_audio::synth::{self, SynthConfig, VoiceProfile};
 use rcmo_audio::wordspot::{roc, WordSpotter, WordSpotterConfig};
 use rcmo_bench::{consultation_fixture, medical_document};
 use rcmo_codec::{decode_prefix, decode_resolution, encode, EncoderConfig};
-use rcmo_core::cpnet::samples::{chain_net, figure2_net, tree_net};
+use rcmo_core::cpnet::samples::{chain_net, figure2_net, random_net, tree_net, RandomNetSpec};
 use rcmo_core::cpnet::{improving_flips, outcome_rank_vector};
 use rcmo_core::{
-    ComponentId, PartialAssignment, PresentationEngine, ReconfigEngine, Value, VarId, ViewerChoice,
-    ViewerSession,
+    ComponentId, CpNet, PartialAssignment, PrefetchConfig, PrefetchPlanner, PresentationEngine,
+    ReconfigEngine, Value, VarId, ViewerChoice, ViewerSession,
 };
 use rcmo_imaging::{ct_phantom, psnr, segment_image, LineElement, TextElement};
 use rcmo_netsim::{simulate_session, FaultSpec, Link, PolicyKind, SessionConfig};
@@ -32,6 +34,167 @@ fn section(id: &str, title: &str) {
     println!("\n================================================================");
     println!("{id} — {title}");
     println!("================================================================");
+}
+
+/// Mean wall-clock µs of one call of `f`, over `reps` calls.
+fn mean_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    t.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
+}
+
+/// The `q`-quantile of an ascending slice, by nearest rank (the default
+/// value when the slice is empty).
+fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// A value of a `BENCH_*.json` export; [`obj!`] builds objects.
+#[derive(Debug)]
+enum Json {
+    Int(u64),
+    /// A float and its printed decimals (`None`: the shortest exact form).
+    /// A NaN or infinity is written as `null`.
+    Float(f64, Option<usize>),
+    Bool(bool),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+    /// Serialised JSON embedded verbatim (a `MetricsSnapshot::to_json`).
+    Raw(String),
+}
+
+/// A JSON object from `"key": value` pairs; each value goes through
+/// `Json::from`.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        Json::Obj(vec![$(($key.to_string(), Json::from($value))),*])
+    };
+}
+
+/// `x` printed with `decimals` digits after the point, like `{x:.3}`.
+fn fixed(x: f64, decimals: usize) -> Json {
+    Json::Float(x, Some(decimals))
+}
+
+impl Json {
+    /// Writes the value at nesting depth `depth`. A container holding no
+    /// container stays on one line; any other puts one item per line.
+    fn write(&self, out: &mut String, depth: usize) {
+        use std::fmt::Write;
+        match self {
+            Json::Int(n) => write!(out, "{n}").unwrap(),
+            Json::Float(x, _) if !x.is_finite() => out.push_str("null"),
+            Json::Float(x, Some(decimals)) => write!(out, "{x:.decimals$}").unwrap(),
+            Json::Float(x, None) => write!(out, "{x}").unwrap(),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Str(s) => write_str(out, s),
+            Json::Raw(json) => out.push_str(json.trim_end()),
+            Json::Arr(items) => {
+                let items = items.iter().map(|v| (None, v)).collect();
+                Json::write_items(out, depth, ('[', ']'), items);
+            }
+            Json::Obj(fields) => {
+                let items = fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect();
+                Json::write_items(out, depth, ('{', '}'), items);
+            }
+        }
+    }
+
+    fn write_items(
+        out: &mut String,
+        depth: usize,
+        (open, close): (char, char),
+        items: Vec<(Option<&str>, &Json)>,
+    ) {
+        let multiline = items
+            .iter()
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_) | Json::Raw(_)));
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if multiline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        if multiline {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+}
+
+/// `From` conversions into [`Json`], which is what [`obj!`] applies to
+/// each value.
+macro_rules! json_from {
+    ($($ty:ty => |$v:ident| $json:expr;)*) => {$(
+        impl From<$ty> for Json {
+            fn from($v: $ty) -> Json {
+                $json
+            }
+        }
+    )*};
+}
+
+json_from! {
+    u64 => |n| Json::Int(n);
+    usize => |n| Json::Int(n as u64);
+    f64 => |x| Json::Float(x, None);
+    bool => |b| Json::Bool(b);
+    &str => |s| Json::Str(s.to_string());
+    String => |s| Json::Str(s);
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    use std::fmt::Write;
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => write!(out, "\\u{:04x}", u32::from(c)).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes a `BENCH_*.json` export to the working directory.
+fn write_bench(path: &str, report: &Json) {
+    let json = report.render();
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path} ({} bytes)", json.len());
 }
 
 fn main() {
@@ -193,17 +356,8 @@ fn e3_usecases() {
                 },
             )
             .unwrap();
-        let reps = 200;
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(engine.default_presentation(&doc));
-        }
-        let default_us = t.elapsed().as_micros() as f64 / reps as f64;
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(engine.presentation_for(&doc, &session).unwrap());
-        }
-        let reconfig_us = t.elapsed().as_micros() as f64 / reps as f64;
+        let default_us = mean_us(200, || engine.default_presentation(&doc));
+        let reconfig_us = mean_us(200, || engine.presentation_for(&doc, &session).unwrap());
         println!(
             "{:>12} {:>14.1} {:>16.1}",
             doc.num_components(),
@@ -212,6 +366,21 @@ fn e3_usecases() {
         );
     }
     println!("(linear in document size: one topological sweep per query)");
+    let net = random_net(&RandomNetSpec {
+        vars: 256,
+        max_domain: 3,
+        max_parents: 3,
+        seed: 5,
+    });
+    let bytes = net.to_bytes();
+    println!(
+        "cp-net of {} vars: optimal outcome {:.1} µs, encode {:.1} µs, decode {:.1} µs ({} bytes)",
+        net.len(),
+        mean_us(200, || net.optimal_outcome()),
+        mean_us(200, || net.to_bytes()),
+        mean_us(200, || CpNet::from_bytes(&bytes).unwrap()),
+        bytes.len()
+    );
 }
 
 /// E4 (Fig 5): the client GUI panes — hierarchy outline plus per-viewer
@@ -272,6 +441,7 @@ fn e5_ood() {
 
 /// E6 (Fig 7): the database schema, object storage, and engine throughput.
 fn e6_schema() {
+    use rcmo_storage::{Column, ColumnType, Database, RowValue, Schema};
     section("E6", "Fig 7: multimedia object schema + storage engine");
     let db = rcmo_mediadb::MediaDb::in_memory().unwrap();
     println!("master table MULTIMEDIA_OBJECTS_TABLE:");
@@ -336,9 +506,9 @@ fn e6_schema() {
         let mut tx = raw.begin().unwrap();
         tx.create_table(
             "E6_BENCH",
-            rcmo_storage::Schema::new(vec![
-                rcmo_storage::Column::new("ID", rcmo_storage::ColumnType::U64),
-                rcmo_storage::Column::new("NAME", rcmo_storage::ColumnType::Text),
+            Schema::new(vec![
+                Column::new("ID", ColumnType::U64),
+                Column::new("NAME", ColumnType::Text),
             ])
             .unwrap(),
         )
@@ -346,10 +516,7 @@ fn e6_schema() {
         for i in 0..n {
             tx.insert(
                 "E6_BENCH",
-                vec![
-                    rcmo_storage::RowValue::Null,
-                    rcmo_storage::RowValue::Text(format!("row{i}")),
-                ],
+                vec![RowValue::Null, RowValue::Text(format!("row{i}"))],
             )
             .unwrap();
         }
@@ -369,6 +536,32 @@ fn e6_schema() {
     println!(
         "buffer pool: {} hits / {} misses / {} evictions",
         stats.hits, stats.misses, stats.evictions
+    );
+    // BLOB streaming and a short range scan, on a database of their own.
+    let db = Database::in_memory().unwrap();
+    let blob = vec![0xA5u8; 1 << 20];
+    let write_us = mean_us(20, || {
+        let mut tx = db.begin().unwrap();
+        tx.put_blob(&blob).unwrap();
+        tx.commit().unwrap()
+    });
+    let mut tx = db.begin().unwrap();
+    let blob_id = tx.put_blob(&blob).unwrap();
+    let ids = Schema::new(vec![Column::new("ID", ColumnType::U64)]).unwrap();
+    tx.create_table("E6_RANGE", ids).unwrap();
+    for _ in 0..10_000 {
+        tx.insert("E6_RANGE", vec![RowValue::Null]).unwrap();
+    }
+    tx.commit().unwrap();
+    let read_us = mean_us(20, || db.begin_read().unwrap().get_blob(blob_id).unwrap());
+    let range_us = mean_us(200, || {
+        let rows = db.begin_read().unwrap().range("E6_RANGE", 5_000, 5_099);
+        assert_eq!(rows.unwrap().len(), 100);
+    });
+    println!(
+        "blob 1 MiB: write {:.0} MB/s, read {:.0} MB/s; range of 100 in 10k rows {range_us:.1} µs",
+        blob.len() as f64 / write_us,
+        blob.len() as f64 / read_us
     );
 }
 
@@ -486,6 +679,11 @@ fn e8_multires() {
         ct.height(),
         stream.len(),
         8.0 * stream.len() as f64 / raw
+    );
+    println!(
+        "codec: encode {:.2} ms, full decode {:.2} ms",
+        mean_us(10, || encode(&ct, &cfg).unwrap()) / 1e3,
+        mean_us(10, || rcmo_codec::decode(&stream).unwrap()) / 1e3
     );
     println!("\nlayer ladder (progressive prefixes):");
     println!(
@@ -638,6 +836,23 @@ fn e9_speaker() {
             p.false_alarms
         );
     }
+    let audio = synth::babble(&VoiceProfile::male("m"), 2.0, &SynthConfig::default());
+    let frames = rcmo_audio::extract_features(&audio, &features);
+    let gmm = DiagGmm::train(&frames, 4, 10, 1);
+    let hmm = Hmm::left_right(
+        (0..6).map(|i| DiagGmm::train(&frames, 2, 6, i)).collect(),
+        0.6,
+    );
+    let n = frames.len() as f64;
+    let features_us = mean_us(10, || rcmo_audio::extract_features(&audio, &features)) / n;
+    let gmm_us = mean_us(10, || {
+        frames.iter().map(|f| gmm.log_likelihood(f)).sum::<f64>()
+    }) / n;
+    let viterbi_us = mean_us(10, || hmm.viterbi(&frames)) / n;
+    println!(
+        "\nper frame of {n} frames: features {features_us:.2} µs, GMM score {gmm_us:.2} µs, \
+         6-state Viterbi {viterbi_us:.2} µs"
+    );
 }
 
 /// E10 (§4.4): the prefetch study — hit rate and response time vs. buffer
@@ -713,6 +928,16 @@ fn e10_prefetch() {
             s.mean_response_secs
         );
     }
+    let planner = PrefetchPlanner::new(PrefetchConfig {
+        top_k: 64,
+        decay: 0.9,
+    });
+    let evidence = PartialAssignment::empty(doc.net().len());
+    println!(
+        "\nplanner: {:.1} µs per plan over {} components (top 64 outcomes)",
+        mean_us(100, || planner.plan(&doc, &evidence, 512 * 1024).unwrap()),
+        doc.num_components()
+    );
 }
 
 /// E11 (§4.2): online updates — the derived operation variable, global vs.
@@ -757,18 +982,12 @@ fn e11_updates() {
     println!("\n{:>12} {:>16}", "components", "global op (µs)");
     for (folders, leaves) in [(2usize, 4usize), (8, 8), (16, 16)] {
         let base = medical_document(folders, leaves);
-        let reps = 200;
-        let t = Instant::now();
-        for _ in 0..reps {
+        let op_us = mean_us(200, || {
             let mut d = base.clone();
             d.add_global_operation(ComponentId(2), 0, "op").unwrap();
-            std::hint::black_box(d);
-        }
-        println!(
-            "{:>12} {:>16.1}",
-            base.num_components(),
-            t.elapsed().as_micros() as f64 / reps as f64
-        );
+            d
+        });
+        println!("{:>12} {:>16.1}", base.num_components(), op_us);
     }
     println!("(cost is dominated by the document clone; the net update is O(domain))");
 }
@@ -1301,10 +1520,6 @@ fn e15_reconfig() {
     const WARMUP: usize = 500;
     const ROOM: usize = 4;
 
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
     let nets = [
         ("chain30", chain_net(30, 2, 0xE15)),
         ("tree30", tree_net(30, 2, 0xE15)),
@@ -1409,35 +1624,18 @@ fn e15_reconfig() {
                 speedup >= 1.0,
                 "{name} {kind}: engine p50 {e50}ns slower than full sweep p50 {f50}ns"
             );
-            entries.push(format!(
-                concat!(
-                    "    {{\"net\": \"{}\", \"workload\": \"{}\", \"steps\": {}, ",
-                    "\"full_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, ",
-                    "\"engine_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, ",
-                    "\"speedup_p50\": {:.2}, \"memo_hit_rate\": {:.4}, ",
-                    "\"incremental_recomputes\": {}, \"full_sweeps\": {}}}"
-                ),
-                name,
-                kind,
-                STEPS,
-                f50,
-                f95,
-                f99,
-                e50,
-                e95,
-                e99,
-                speedup,
-                stats.hit_rate(),
-                stats.incremental,
-                stats.full_sweeps
-            ));
+            entries.push(obj! {
+                "net": *name, "workload": kind, "steps": STEPS,
+                "full_ns": obj! {"p50": f50, "p95": f95, "p99": f99},
+                "engine_ns": obj! {"p50": e50, "p95": e95, "p99": e99},
+                "speedup_p50": fixed(speedup, 2), "memo_hit_rate": fixed(stats.hit_rate(), 4),
+                "incremental_recomputes": stats.incremental, "full_sweeps": stats.full_sweeps,
+            });
         }
     }
     println!("(room-of-4 is the deployment shape: one cone recompute per event,");
     println!(" the other members served from the evidence memo)");
-    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
-    std::fs::write("BENCH_reconfig.json", &json).expect("write BENCH_reconfig.json");
-    println!("wrote BENCH_reconfig.json ({} bytes)", json.len());
+    write_bench("BENCH_reconfig.json", &obj! {"runs": entries});
 }
 
 /// E16 (crash torture): the storage stack's crash-survival matrix. Every
@@ -1506,14 +1704,6 @@ fn e16_crash() {
             }
         }
         tx.commit()
-    }
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-        }
     }
 
     #[derive(Default)]
@@ -1641,24 +1831,24 @@ fn e16_crash() {
             site, s.schedules, s.lost, s.durable, s.integrity_failures
         );
         total_failures += s.integrity_failures;
-        site_entries.push(format!(
-            concat!(
-                "    {{\"site\": \"{}\", \"schedules\": {}, \"lost\": {}, ",
-                "\"durable\": {}, \"integrity_failures\": {}}}"
-            ),
-            site, s.schedules, s.lost, s.durable, s.integrity_failures
-        ));
+        site_entries.push(obj! {
+            "site": *site, "schedules": s.schedules, "lost": s.lost, "durable": s.durable,
+            "integrity_failures": s.integrity_failures,
+        });
     }
 
     let mut all_us: Vec<u64> = recovery.iter().map(|&(_, us)| us).collect();
     all_us.sort_unstable();
-    println!(
-        "recovery latency over {} reopens: p50 {}µs  p95 {}µs  p99 {}µs",
-        all_us.len(),
+    let (p50, p95, p99) = (
         quantile(&all_us, 0.50),
         quantile(&all_us, 0.95),
-        quantile(&all_us, 0.99)
+        quantile(&all_us, 0.99),
     );
+    println!(
+        "recovery latency over {} reopens: p50 {p50}µs  p95 {p95}µs  p99 {p99}µs",
+        all_us.len()
+    );
+    let recovery_us = obj! {"samples": all_us.len(), "p50": p50, "p95": p95, "p99": p99};
     const BUCKETS: [(&str, u64, u64); 3] = [
         ("<16KiB", 0, 16 << 10),
         ("16-48KiB", 16 << 10, 48 << 10),
@@ -1672,43 +1862,28 @@ fn e16_crash() {
             .map(|&(_, us)| us)
             .collect();
         us.sort_unstable();
-        println!(
-            "  wal {label:<9} {:>5} samples: p50 {}µs  p95 {}µs  p99 {}µs",
-            us.len(),
+        let (p50, p95, p99) = (
             quantile(&us, 0.50),
             quantile(&us, 0.95),
-            quantile(&us, 0.99)
+            quantile(&us, 0.99),
         );
-        bucket_entries.push(format!(
-            concat!(
-                "    {{\"wal_bytes\": \"{}\", \"samples\": {}, \"p50_us\": {}, ",
-                "\"p95_us\": {}, \"p99_us\": {}}}"
-            ),
-            label,
-            us.len(),
-            quantile(&us, 0.50),
-            quantile(&us, 0.95),
-            quantile(&us, 0.99)
-        ));
+        println!(
+            "  wal {label:<9} {:>5} samples: p50 {p50}µs  p95 {p95}µs  p99 {p99}µs",
+            us.len()
+        );
+        bucket_entries.push(obj! {
+            "wal_bytes": label, "samples": us.len(), "p50_us": p50, "p95_us": p95, "p99_us": p99,
+        });
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"seeds\": {:?},\n  \"txns_per_seed\": {},\n  \"sites\": [\n{}\n  ],\n",
-            "  \"recovery_us\": {{\"samples\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}},\n",
-            "  \"recovery_by_wal_bytes\": [\n{}\n  ]\n}}\n"
-        ),
-        SEEDS,
-        TXNS + 1,
-        site_entries.join(",\n"),
-        all_us.len(),
-        quantile(&all_us, 0.50),
-        quantile(&all_us, 0.95),
-        quantile(&all_us, 0.99),
-        bucket_entries.join(",\n")
+    write_bench(
+        "BENCH_crash.json",
+        &obj! {
+            "seeds": SEEDS.to_vec(), "txns_per_seed": TXNS + 1,
+            "sites": site_entries, "recovery_us": recovery_us,
+            "recovery_by_wal_bytes": bucket_entries,
+        },
     );
-    std::fs::write("BENCH_crash.json", &json).expect("write BENCH_crash.json");
-    println!("wrote BENCH_crash.json ({} bytes)", json.len());
     assert_eq!(
         total_failures, 0,
         "E16: {total_failures} integrity failures across the crash sweep"
@@ -1858,10 +2033,6 @@ fn e17_concurrency() {
         }
     }
 
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
     println!(
         "{} rooms max, {MEMBERS} members/room, {OPS} ops/thread; every 4th op is a",
         MAX_THREADS
@@ -1895,24 +2066,12 @@ fn e17_concurrency() {
                 mode_name, threads, thr, p50, p99, scaling
             );
             results.push((mode, threads, thr, p50, p99));
-            entries.push(format!(
-                concat!(
-                    "    {{\"mode\": \"{}\", \"threads\": {}, \"rooms\": {}, ",
-                    "\"members_per_room\": {}, \"ops\": {}, \"wall_ms\": {:.1}, ",
-                    "\"throughput_ops_s\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, ",
-                    "\"scaling_vs_1_thread\": {:.3}}}"
-                ),
-                mode_name,
-                threads,
-                threads,
-                MEMBERS,
-                r.ops,
-                r.wall.as_secs_f64() * 1e3,
-                thr,
-                p50,
-                p99,
-                scaling
-            ));
+            entries.push(obj! {
+                "mode": mode_name, "threads": threads, "rooms": threads,
+                "members_per_room": MEMBERS, "ops": r.ops,
+                "wall_ms": fixed(r.wall.as_secs_f64() * 1e3, 1), "throughput_ops_s": fixed(thr, 0),
+                "p50_us": p50, "p99_us": p99, "scaling_vs_1_thread": fixed(scaling, 3),
+            });
         }
     }
 
@@ -1968,21 +2127,15 @@ fn e17_concurrency() {
         }
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"ops_per_thread\": {},\n  \"members_per_room\": {},\n",
-            "  \"decode_hold_ms\": 1,\n  \"runs\": [\n{}\n  ],\n",
-            "  \"per_room_scaling_1_to_4\": {:.3},\n",
-            "  \"per_room_vs_global_at_4\": {:.3}\n}}\n"
-        ),
-        OPS,
-        MEMBERS,
-        entries.join(",\n"),
-        scaling_1_to_4,
-        vs_baseline_4
+    write_bench(
+        "BENCH_concurrency.json",
+        &obj! {
+            "ops_per_thread": OPS, "members_per_room": MEMBERS,
+            "decode_hold_ms": DECODE.as_millis() as u64, "runs": entries,
+            "per_room_scaling_1_to_4": fixed(scaling_1_to_4, 3),
+            "per_room_vs_global_at_4": fixed(vs_baseline_4, 3),
+        },
     );
-    std::fs::write("BENCH_concurrency.json", &json).expect("write BENCH_concurrency.json");
-    println!("wrote BENCH_concurrency.json ({} bytes)", json.len());
 
     assert!(
         scaling_1_to_4 >= 2.0,
@@ -2036,10 +2189,6 @@ fn e18_cluster() {
         "{:>7} {:>12} {:>10} {:>10} {:>9}",
         "shards", "ops/s", "p50 µs", "p99 µs", "scaling"
     );
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
 
     let mut entries = Vec::new();
     let mut thr_by_shards: Vec<(usize, f64)> = Vec::new();
@@ -2107,21 +2256,11 @@ fn e18_cluster() {
         let base = thr_by_shards.first().map(|&(_, t)| t).unwrap_or(thr);
         let scaling = thr / base;
         println!("{shards:>7} {thr:>12.0} {p50:>10} {p99:>10} {scaling:>8.2}x");
-        entries.push(format!(
-            concat!(
-                "    {{\"shards\": {}, \"rooms\": {}, \"ops\": {}, \"wall_ms\": {:.1}, ",
-                "\"throughput_ops_s\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, ",
-                "\"scaling_vs_1_shard\": {:.3}}}"
-            ),
-            shards,
-            ROOMS,
-            ROOMS * OPS,
-            wall.as_secs_f64() * 1e3,
-            thr,
-            p50,
-            p99,
-            scaling
-        ));
+        entries.push(obj! {
+            "shards": shards, "rooms": ROOMS, "ops": ROOMS * OPS,
+            "wall_ms": fixed(wall.as_secs_f64() * 1e3, 1), "throughput_ops_s": fixed(thr, 0),
+            "p50_us": p50, "p99_us": p99, "scaling_vs_1_shard": fixed(scaling, 3),
+        });
         thr_by_shards.push((shards, thr));
     }
     let thr_of = |n: usize| {
@@ -2268,25 +2407,15 @@ fn e18_cluster() {
         );
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"rooms\": {},\n  \"ops_per_room\": {},\n",
-            "  \"ingress_service_us\": {},\n  \"runs\": [\n{}\n  ],\n",
-            "  \"scaling_1_to_4_shards\": {:.3},\n",
-            "  \"migrations\": {},\n  \"failover_rooms\": {},\n",
-            "  \"failover_lossy_events\": {},\n  \"zero_event_loss\": true\n}}\n"
-        ),
-        ROOMS,
-        OPS,
-        SERVICE_US,
-        entries.join(",\n"),
-        scaling_1_to_4,
-        stats.migrations,
-        stats.failover_rooms,
-        stats.failover_lossy_events
+    write_bench(
+        "BENCH_cluster.json",
+        &obj! {
+            "rooms": ROOMS, "ops_per_room": OPS, "ingress_service_us": SERVICE_US, "runs": entries,
+            "scaling_1_to_4_shards": fixed(scaling_1_to_4, 3), "migrations": stats.migrations,
+            "failover_rooms": stats.failover_rooms,
+            "failover_lossy_events": stats.failover_lossy_events, "zero_event_loss": true,
+        },
     );
-    std::fs::write("BENCH_cluster.json", &json).expect("write BENCH_cluster.json");
-    println!("wrote BENCH_cluster.json ({} bytes)", json.len());
 
     assert!(
         scaling_1_to_4 >= 2.0,
@@ -2450,14 +2579,12 @@ fn e19_fanout() {
             "{:>9} {:>10.1} {:>14.2} {:>10} {:>12} {:>13.2}",
             n, join_ms, cost_per_event_us, encodes, deliveries, clone_us
         );
-        entries.push(format!(
-            concat!(
-                "    {{\"audience\": {}, \"events\": {}, \"join_ms\": {:.1}, ",
-                "\"cost_per_event_us\": {:.2}, \"encodes\": {}, \"deliveries\": {}, ",
-                "\"clone_baseline_us\": {:.2}, \"slow_consumers_evicted\": 0}}"
-            ),
-            n, EVENTS, join_ms, cost_per_event_us, encodes, deliveries, clone_us
-        ));
+        entries.push(obj! {
+            "audience": n, "events": EVENTS, "join_ms": fixed(join_ms, 1),
+            "cost_per_event_us": fixed(cost_per_event_us, 2), "encodes": encodes,
+            "deliveries": deliveries, "clone_baseline_us": fixed(clone_us, 2),
+            "slow_consumers_evicted": 0u64,
+        });
         rows.push((n, cost_per_event_us));
         if n == *AUDIENCES.last().unwrap() {
             lecture = Some((srv, room, presenter, viewers));
@@ -2570,30 +2697,21 @@ fn e19_fanout() {
         "E19: presenter stalled {max_presenter_ms:.0} ms mid-storm (gate: < 250 ms)"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n  \"events_per_round\": {},\n  \"rounds\": {},\n  \"fanout\": [\n{}\n  ],\n",
-            "  \"sublinear_gate\": {{\"audience_factor\": {:.0}, \"cost_factor\": {:.2}, ",
-            "\"max_cost_factor\": {:.0}}},\n",
-            "  \"join_storm\": {{\"joiners\": {}, \"snapshot_resyncs\": {}, ",
-            "\"storm_ms\": {:.0}, \"snapshot_cache_hits\": {}, \"snapshot_cache_misses\": {}, ",
-            "\"max_presenter_broadcast_ms\": {:.2}, \"event_loss\": 0}}\n}}\n"
-        ),
-        EVENTS,
-        ROUNDS,
-        entries.join(",\n"),
-        audience_factor,
-        cost_factor,
-        0.5 * audience_factor,
-        STORM,
-        STORM,
-        storm_ms,
-        cache_hits,
-        cache_misses,
-        max_presenter_ms
+    write_bench(
+        "BENCH_fanout.json",
+        &obj! {
+            "events_per_round": EVENTS, "rounds": ROUNDS, "fanout": entries,
+            "sublinear_gate": obj! {
+                "audience_factor": fixed(audience_factor, 0), "cost_factor": fixed(cost_factor, 2),
+                "max_cost_factor": fixed(0.5 * audience_factor, 0),
+            },
+            "join_storm": obj! {
+                "joiners": STORM, "snapshot_resyncs": STORM, "storm_ms": fixed(storm_ms, 0),
+                "snapshot_cache_hits": cache_hits, "snapshot_cache_misses": cache_misses,
+                "max_presenter_broadcast_ms": fixed(max_presenter_ms, 2), "event_loss": 0u64,
+            },
+        },
     );
-    std::fs::write("BENCH_fanout.json", &json).expect("write BENCH_fanout.json");
-    println!("wrote BENCH_fanout.json ({} bytes)", json.len());
     println!(
         "(one encode per event at every audience size; the 10k room pays pointers, not payloads)"
     );
@@ -2697,10 +2815,6 @@ fn e20_storage_scale() {
         }
     }
 
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
     println!(
         "{TXNS_PER_WRITER} txns/writer, {}µs modelled fsync, {}µs group-commit window\n",
         SYNC_LATENCY.as_micros(),
@@ -2743,20 +2857,11 @@ fn e20_storage_scale() {
             r.txns as f64 / r.wal_syncs.max(1) as f64,
             scaling
         );
-        entries.push(format!(
-            concat!(
-                "    {{\"mode\": \"{}\", \"writers\": {}, \"txns\": {}, ",
-                "\"wall_ms\": {:.1}, \"throughput_txns_s\": {:.0}, ",
-                "\"wal_syncs\": {}, \"scaling_vs_1_writer\": {:.3}}}"
-            ),
-            mode_name,
-            threads,
-            r.txns,
-            r.wall.as_secs_f64() * 1e3,
-            thr,
-            r.wal_syncs,
-            scaling
-        ));
+        entries.push(obj! {
+            "mode": mode_name, "writers": threads, "txns": r.txns,
+            "wall_ms": fixed(r.wall.as_secs_f64() * 1e3, 1), "throughput_txns_s": fixed(thr, 0),
+            "wal_syncs": r.wal_syncs, "scaling_vs_1_writer": fixed(scaling, 3),
+        });
     }
 
     // Reader-starvation probe: one reader scans as fast as it can while 4
@@ -2828,26 +2933,16 @@ fn e20_storage_scale() {
          vs eager baseline at 4 writers: {vs_eager_4:.2}x"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n  \"txns_per_writer\": {},\n  \"sync_latency_us\": {},\n",
-            "  \"group_commit_window_us\": {},\n  \"runs\": [\n{}\n  ],\n",
-            "  \"reader_probe\": {{\"reads\": {}, \"p50_us\": {}, \"p99_us\": {}}},\n",
-            "  \"scaling_1_to_4_writers\": {:.3},\n",
-            "  \"vs_eager_at_4_writers\": {:.3}\n}}\n"
-        ),
-        TXNS_PER_WRITER,
-        SYNC_LATENCY.as_micros(),
-        WINDOW.as_micros(),
-        entries.join(",\n"),
-        reads,
-        read_p50,
-        read_p99,
-        scaling_1_to_4,
-        vs_eager_4
+    write_bench(
+        "BENCH_storage_scale.json",
+        &obj! {
+            "txns_per_writer": TXNS_PER_WRITER, "sync_latency_us": SYNC_LATENCY.as_micros() as u64,
+            "group_commit_window_us": WINDOW.as_micros() as u64, "runs": entries,
+            "reader_probe": obj! {"reads": reads, "p50_us": read_p50, "p99_us": read_p99},
+            "scaling_1_to_4_writers": fixed(scaling_1_to_4, 3),
+            "vs_eager_at_4_writers": fixed(vs_eager_4, 3),
+        },
     );
-    std::fs::write("BENCH_storage_scale.json", &json).expect("write BENCH_storage_scale.json");
-    println!("wrote BENCH_storage_scale.json ({} bytes)", json.len());
 
     assert!(
         scaling_1_to_4 >= 2.0,
@@ -2935,62 +3030,22 @@ fn e21_sim() {
     );
 
     // Export before gating so a red run still leaves the evidence behind.
-    let actions = report
-        .actions
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| format!("    {:?}", v))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"seed\": {},\n",
-            "  \"rooms\": {},\n",
-            "  \"actors\": {},\n",
-            "  \"events_executed\": {},\n",
-            "  \"horizon_s\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"wall_ms\": {},\n",
-            "  \"trace_lines\": {},\n",
-            "  \"trace_fingerprint\": \"{:016x}\",\n",
-            "  \"kills\": {},\n",
-            "  \"failovers\": {},\n",
-            "  \"migrations\": {},\n",
-            "  \"resyncs\": {},\n",
-            "  \"crash_drills\": {},\n",
-            "  \"crash_failures\": {},\n",
-            "  \"actions\": {{\n{}\n  }},\n",
-            "  \"violations\": [\n{}\n  ],\n",
-            "  \"metrics\": {}\n",
-            "}}\n"
-        ),
-        report.seed,
-        report.rooms,
-        report.actors,
-        report.events_executed,
-        report.horizon_s,
-        report.epochs,
-        wall_ms,
-        report.trace_len,
-        report.trace_fingerprint,
-        report.kills,
-        report.failovers,
-        report.migrations,
-        report.resyncs,
-        report.crash_drills,
-        report.crash_failures,
-        actions,
-        violations,
-        report.merged_metrics.to_json().trim_end()
+    let actions = report.actions.iter();
+    let actions = Json::Obj(actions.map(|(k, &v)| (k.to_string(), v.into())).collect());
+    write_bench(
+        "BENCH_sim.json",
+        &obj! {
+            "seed": report.seed, "rooms": report.rooms, "actors": report.actors,
+            "events_executed": report.events_executed, "horizon_s": report.horizon_s,
+            "epochs": report.epochs, "wall_ms": wall_ms as u64, "trace_lines": report.trace_len,
+            "trace_fingerprint": format!("{:016x}", report.trace_fingerprint),
+            "kills": report.kills, "failovers": report.failovers, "migrations": report.migrations,
+            "resyncs": report.resyncs, "crash_drills": report.crash_drills,
+            "crash_failures": report.crash_failures, "actions": actions,
+            "violations": report.violations.clone(),
+            "metrics": Json::Raw(report.merged_metrics.to_json()),
+        },
     );
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
-    println!("wrote BENCH_sim.json ({} bytes)", json.len());
 
     // Gates.
     assert!(
@@ -3125,11 +3180,6 @@ fn e22_delivery() {
         }
     }
 
-    fn pctl(samples: &mut [f64], q: f64) -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite TTFR"));
-        samples[((samples.len() - 1) as f64 * q).round() as usize]
-    }
-
     println!(
         "{viewers} viewers in {ROOMS} rooms, one {full_bytes}-byte \
          {total_layers}-layer CT, {TTFR_BUDGET_S} s render budget\n"
@@ -3143,25 +3193,27 @@ fn e22_delivery() {
         let c = &mut stats[ci];
         let n = c.adaptive.len();
         let avg_layers = c.layers as f64 / n as f64;
-        let a_p99 = pctl(&mut c.adaptive, 0.99);
-        let f_p99 = pctl(&mut c.fixed, 0.99);
+        c.adaptive.sort_by(f64::total_cmp);
+        c.fixed.sort_by(f64::total_cmp);
+        let a_p99 = quantile(&c.adaptive, 0.99);
+        let f_p99 = quantile(&c.fixed, 0.99);
         println!(
             "{:<12} {:>7} {:>11.2} {:>11} {:>12.3}s {:>12.3}s",
             name, n, avg_layers, c.full_depth, a_p99, f_p99
         );
-        class_rows.push(format!(
-            concat!(
-                "    {{\"class\": \"{}\", \"viewers\": {}, \"avg_layers\": {:.3}, ",
-                "\"full_depth\": {}, \"adaptive_p99_s\": {:.6}, \"fixed_p99_s\": {:.6}}}"
-            ),
-            name, n, avg_layers, c.full_depth, a_p99, f_p99
-        ));
+        class_rows.push(obj! {
+            "class": *name, "viewers": n, "avg_layers": fixed(avg_layers, 3),
+            "full_depth": c.full_depth, "adaptive_p99_s": fixed(a_p99, 6),
+            "fixed_p99_s": fixed(f_p99, 6),
+        });
     }
 
     let mut all_adaptive: Vec<f64> = stats.iter().flat_map(|c| c.adaptive.clone()).collect();
     let mut all_fixed: Vec<f64> = stats.iter().flat_map(|c| c.fixed.clone()).collect();
-    let (a_p50, a_p99) = (pctl(&mut all_adaptive, 0.5), pctl(&mut all_adaptive, 0.99));
-    let (f_p50, f_p99) = (pctl(&mut all_fixed, 0.5), pctl(&mut all_fixed, 0.99));
+    all_adaptive.sort_by(f64::total_cmp);
+    all_fixed.sort_by(f64::total_cmp);
+    let (a_p50, a_p99) = (quantile(&all_adaptive, 0.5), quantile(&all_adaptive, 0.99));
+    let (f_p50, f_p99) = (quantile(&all_fixed, 0.5), quantile(&all_fixed, 0.99));
 
     let snap = srv.metrics();
     let misses = snap.counters["server.delivery.cache.miss.count"];
@@ -3178,42 +3230,17 @@ fn e22_delivery() {
     );
 
     // Export before gating so a red run still leaves the evidence behind.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"viewers\": {},\n",
-            "  \"rooms\": {},\n",
-            "  \"full_bytes\": {},\n",
-            "  \"total_layers\": {},\n",
-            "  \"ttfr_budget_s\": {},\n",
-            "  \"adaptive_p50_s\": {:.6},\n",
-            "  \"adaptive_p99_s\": {:.6},\n",
-            "  \"fixed_p50_s\": {:.6},\n",
-            "  \"fixed_p99_s\": {:.6},\n",
-            "  \"cache_misses\": {},\n",
-            "  \"cache_hits\": {},\n",
-            "  \"saved_bytes\": {},\n",
-            "  \"full_payload_fallbacks\": {},\n",
-            "  \"classes\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        viewers,
-        ROOMS,
-        full_bytes,
-        total_layers,
-        TTFR_BUDGET_S,
-        a_p50,
-        a_p99,
-        f_p50,
-        f_p99,
-        misses,
-        hits,
-        saved,
-        full_payloads,
-        class_rows.join(",\n")
+    write_bench(
+        "BENCH_delivery.json",
+        &obj! {
+            "viewers": viewers, "rooms": ROOMS, "full_bytes": full_bytes,
+            "total_layers": total_layers, "ttfr_budget_s": TTFR_BUDGET_S,
+            "adaptive_p50_s": fixed(a_p50, 6), "adaptive_p99_s": fixed(a_p99, 6),
+            "fixed_p50_s": fixed(f_p50, 6), "fixed_p99_s": fixed(f_p99, 6), "cache_misses": misses,
+            "cache_hits": hits, "saved_bytes": saved, "full_payload_fallbacks": full_payloads,
+            "classes": class_rows,
+        },
     );
-    std::fs::write("BENCH_delivery.json", &json).expect("write BENCH_delivery.json");
-    println!("wrote BENCH_delivery.json ({} bytes)", json.len());
 
     // Gates.
     assert!(
@@ -3244,4 +3271,80 @@ fn e22_delivery() {
     assert!(saved > 0, "E22: adaptive depths saved no bytes");
     println!("\n(slow links got coarse layers inside the render budget, fast links the");
     println!(" full stream; one storage read per room fed every viewer from the cache)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_characters() {
+        let s = Json::from("say \"hi\"\\\nnext\ttab");
+        assert_eq!(s.render(), "\"say \\\"hi\\\"\\\\\\nnext\\u0009tab\"\n");
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fixed(x, 3).render(), "null\n");
+            assert_eq!(Json::from(x).render(), "null\n");
+        }
+    }
+
+    #[test]
+    fn floats_keep_their_printed_precision() {
+        assert_eq!(fixed(2.0 / 3.0, 3).render(), "0.667\n");
+        assert_eq!(fixed(0.8471234567, 6).render(), "0.847123\n");
+        assert_eq!(fixed(1234.5, 0).render(), "1234\n");
+        assert_eq!(fixed(0.1, 1).render(), "0.1\n");
+        assert_eq!(Json::from(0.25).render(), "0.25\n");
+        assert_eq!(Json::from(3600.0).render(), "3600\n");
+    }
+
+    #[test]
+    fn arrays_of_row_objects_put_one_row_per_line() {
+        let row = |n: u64| {
+            obj! {"n": n, "ok": n > 1, "p": obj! {"p50": n * 10}}
+        };
+        let report = obj! {
+            "seeds": vec![1u64, 2], "runs": vec![row(1), row(2)], "none": Vec::<Json>::new(),
+        };
+        assert_eq!(
+            report.render(),
+            concat!(
+                "{\n",
+                "  \"seeds\": [1, 2],\n",
+                "  \"runs\": [\n",
+                "    {\n",
+                "      \"n\": 1,\n",
+                "      \"ok\": false,\n",
+                "      \"p\": {\"p50\": 10}\n",
+                "    },\n",
+                "    {\n",
+                "      \"n\": 2,\n",
+                "      \"ok\": true,\n",
+                "      \"p\": {\"p50\": 20}\n",
+                "    }\n",
+                "  ],\n",
+                "  \"none\": []\n",
+                "}\n"
+            )
+        );
+    }
+
+    #[test]
+    fn raw_json_is_embedded_verbatim() {
+        let report = obj! {"metrics": Json::Raw("{\"a\": 1}\n".into())};
+        assert_eq!(report.render(), "{\n  \"metrics\": {\"a\": 1}\n}\n");
+    }
+
+    #[test]
+    fn quantile_is_nearest_rank_and_default_when_empty() {
+        let xs: Vec<u64> = (1..=100).collect();
+        assert_eq!(quantile(&xs, 0.0), 1);
+        assert_eq!(quantile(&xs, 0.5), 51);
+        assert_eq!(quantile(&xs, 0.99), 99);
+        assert_eq!(quantile::<u64>(&[], 0.5), 0);
+        assert_eq!(quantile(&[0.5f64, 1.5], 1.0), 1.5);
+    }
 }

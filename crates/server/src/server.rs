@@ -1,6 +1,6 @@
 //! The interaction server facade: rooms + presentation module + database.
 
-use crate::delivery::{DeliveryConfig, ImageDelivery};
+use crate::delivery::{DeliveryConfig, DeliveryState, ImageDelivery};
 use crate::error::{Result, ServerError};
 use crate::events::{Action, TriggerCondition};
 use crate::fanout::EventStream;
@@ -10,7 +10,7 @@ use crate::room::{LiveLog, Room, RoomConfig, RoomId, RoomState, RoomStats, Share
 use parking_lot::{Mutex, RwLock};
 use rcmo_core::{MultimediaDocument, Presentation};
 use rcmo_imaging::{AnnotatedImage, GrayImage};
-use rcmo_mediadb::{DocumentObject, MediaDb};
+use rcmo_mediadb::{acl, AccessLevel, DocumentObject, MediaDb};
 use rcmo_obs::{bounds, Counter, Gauge, Histogram, Metrics, MetricsSnapshot, Registry};
 use rcmo_obs::{SharedClock, WallClock};
 use std::collections::HashMap;
@@ -373,7 +373,12 @@ impl InteractionServer {
     }
 
     fn with_room<R>(&self, room: RoomId, f: impl FnOnce(&mut Room) -> Result<R>) -> Result<R> {
-        let handle = self.room_handle(room)?;
+        self.locked(&self.room_handle(room)?, f)
+    }
+
+    /// Runs `f` under one room's lock, recording the lock wait and hold
+    /// times.
+    fn locked<R>(&self, handle: &RoomHandle, f: impl FnOnce(&mut Room) -> R) -> R {
         let queued = self.clock.now_us();
         let mut guard = handle.lock();
         let acquired = self.clock.now_us();
@@ -385,6 +390,20 @@ impl InteractionServer {
         out
     }
 
+    /// The room's delivery state, once `user` is shown to hold `cap` there.
+    fn delivery_for(
+        &self,
+        room: RoomId,
+        user: &str,
+        cap: Capability,
+    ) -> Result<Arc<DeliveryState>> {
+        let cfg = self.delivery_config();
+        self.with_room(room, |r| {
+            r.require_capability(user, cap)?;
+            Ok(r.delivery_state(cfg))
+        })
+    }
+
     /// Joins a room as the role (and with the queue bound) the
     /// [`JoinRequest`] spells out; returns the client connection carrying
     /// the granted role and the bounded event stream. Requires read
@@ -393,7 +412,7 @@ impl InteractionServer {
     /// [`crate::error::JoinRejectCause::PresenterSeatTaken`] when the
     /// presenter seat is already held.
     pub fn join(&self, room: RoomId, req: &JoinRequest) -> Result<ClientConnection> {
-        self.db.list_documents(&req.user)?; // cheap read-permission probe
+        acl::require(self.db.database(), &req.user, AccessLevel::Read)?;
         let events = self.with_room(room, |r| r.join(req))?;
         Ok(ClientConnection {
             room,
@@ -458,7 +477,7 @@ impl InteractionServer {
         user: &str,
         last_seen_seq: u64,
     ) -> Result<(ClientConnection, Resync)> {
-        self.db.list_documents(user)?; // cheap read-permission probe
+        acl::require(self.db.database(), user, AccessLevel::Read)?;
         let (events, catch_up, role) = self.with_room(room, |r| {
             let (events, catch_up) = r.resync(user, last_seen_seq)?;
             let role = r.role_of(user).unwrap_or(Role::Moderator);
@@ -501,11 +520,7 @@ impl InteractionServer {
         // database ACL is checked for the user whose miss loads the entry,
         // and the room capability gates every cached serve (room members
         // already share object bytes through snapshot resyncs).
-        let cfg = self.delivery_config();
-        let delivery = self.with_room(room, |r| {
-            r.require_capability(user, Capability::OpenObjects)?;
-            Ok(r.delivery_state(cfg))
-        })?;
+        let delivery = self.delivery_for(room, user, Capability::OpenObjects)?;
         let data = delivery
             .cache()
             .get_or_load(object_id, || Ok(self.db.get_image_data(user, object_id)?))?;
@@ -543,11 +558,7 @@ impl InteractionServer {
         // for the requesting member only — every role can do that, just as
         // every role receives broadcast object bytes — whereas opening
         // brings a new shared working copy into the room.
-        let cfg = self.delivery_config();
-        let delivery = self.with_room(room, |r| {
-            r.require_capability(user, Capability::AdjustOwnView)?;
-            Ok(r.delivery_state(cfg))
-        })?;
+        let delivery = self.delivery_for(room, user, Capability::AdjustOwnView)?;
         // Cache load and policy math run outside the room lock: the
         // broadcast hot path never waits behind a storage fetch.
         let full = delivery
@@ -593,11 +604,7 @@ impl InteractionServer {
         bytes: u64,
         elapsed_s: f64,
     ) -> Result<()> {
-        let cfg = self.delivery_config();
-        let delivery = self.with_room(room, |r| {
-            r.require_capability(user, Capability::AdjustOwnView)?;
-            Ok(r.delivery_state(cfg))
-        })?;
+        let delivery = self.delivery_for(room, user, Capability::AdjustOwnView)?;
         delivery.observe_transfer(user, bytes, elapsed_s, self.clock.now_s());
         Ok(())
     }
@@ -605,11 +612,7 @@ impl InteractionServer {
     /// `user`'s current (staleness-decayed) bandwidth estimate in this
     /// room, if any transfer has been reported yet.
     pub fn estimated_bandwidth(&self, room: RoomId, user: &str) -> Result<Option<f64>> {
-        let cfg = self.delivery_config();
-        let delivery = self.with_room(room, |r| {
-            r.require_capability(user, Capability::AdjustOwnView)?;
-            Ok(r.delivery_state(cfg))
-        })?;
+        let delivery = self.delivery_for(room, user, Capability::AdjustOwnView)?;
         Ok(delivery.estimate_bps(user, self.clock.now_s()))
     }
 
@@ -790,26 +793,17 @@ impl InteractionServer {
     /// created concurrently with the snapshot may miss the announcement,
     /// exactly as if they had been created just after it.
     pub fn broadcast_announcement(&self, user: &str, text: &str) -> Result<usize> {
-        if self.db.user_level(user)? != Some(rcmo_mediadb::AccessLevel::Admin) {
+        if self.db.user_level(user)? != Some(AccessLevel::Admin) {
             return Err(ServerError::Invalid(format!(
                 "'{user}' is not an administrator"
             )));
         }
         self.map_reads.inc();
         let handles: Vec<RoomHandle> = self.rooms.read().values().cloned().collect();
-        let mut reached = 0;
-        for handle in handles {
-            let queued = self.clock.now_us();
-            let mut room = handle.lock();
-            let acquired = self.clock.now_us();
-            self.room_lock_wait.record(acquired.saturating_sub(queued));
-            room.announce(user, text);
-            drop(room);
-            self.room_lock_hold
-                .record(self.clock.now_us().saturating_sub(acquired));
-            reached += 1;
+        for handle in &handles {
+            self.locked(handle, |room| room.announce(user, text));
         }
-        Ok(reached)
+        Ok(handles.len())
     }
 
     /// Renders a viewer's presentation as text (the Figure-5 content pane):

@@ -138,6 +138,23 @@ fn unknown_room_and_unknown_user() {
 }
 
 #[test]
+fn a_user_without_a_database_account_is_denied_join_and_resync() {
+    let (srv, doc_id, _, _, _) = setup();
+    let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
+    let _a = srv.join_default(room, "dr-a").unwrap();
+    let denied = |r: Result<ClientConnection>| {
+        matches!(
+            r,
+            Err(ServerError::Media(rcmo_mediadb::MediaError::Denied { ref user, .. }))
+                if user == "nobody"
+        )
+    };
+    assert!(denied(srv.join(room, &JoinRequest::viewer("nobody"))));
+    assert!(denied(srv.resync(room, "nobody", 0).map(|(conn, _)| conn)));
+    assert_eq!(srv.members(room).unwrap(), vec!["dr-a"]);
+}
+
+#[test]
 fn choice_propagates_and_reconfigures() {
     let (srv, doc_id, _, ct, xray) = setup();
     let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
