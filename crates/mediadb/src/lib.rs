@@ -146,6 +146,14 @@ impl MediaDb {
         objects::update_image(&self.db, id, img)
     }
 
+    /// Replaces only an image's overlay (`FLD_CM`), atomically and in
+    /// place; the payload BLOB is neither read nor rewritten. Requires
+    /// write access.
+    pub fn update_image_overlay(&self, user: &str, id: u64, cm: &[u8]) -> Result<()> {
+        acl::require(&self.db, user, AccessLevel::Write)?;
+        objects::update_image_overlay(&self.db, id, cm)
+    }
+
     /// Deletes an image object and frees its BLOB. Requires write access.
     pub fn delete_image(&self, user: &str, id: u64) -> Result<()> {
         acl::require(&self.db, user, AccessLevel::Write)?;

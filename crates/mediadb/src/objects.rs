@@ -185,6 +185,21 @@ pub fn update_image(db: &Database, id: u64, img: &ImageObject) -> Result<()> {
     Ok(())
 }
 
+/// Rewrites only an image's overlay (`FLD_CM`) in one transaction; name,
+/// quality, texts and the payload BLOB stay as they are, so saving
+/// annotations never reads or rewrites the pixels.
+pub fn update_image_overlay(db: &Database, id: u64, cm: &[u8]) -> Result<()> {
+    let mut tx = db.begin()?;
+    let mut row = tx.get(IMAGE_TABLE, id)?.ok_or(MediaError::NotFound {
+        table: IMAGE_TABLE,
+        id,
+    })?;
+    row[4] = RowValue::Bytes(cm.to_vec());
+    tx.update(IMAGE_TABLE, id, row)?;
+    tx.commit()?;
+    Ok(())
+}
+
 /// Deletes an image object and its BLOB.
 pub fn delete_image(db: &Database, id: u64) -> Result<()> {
     let mut tx = db.begin()?;

@@ -254,3 +254,127 @@ fn persistence_of_media_objects() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(rcmo_storage::db::wal_path_for(&path));
 }
+
+#[test]
+fn user_key_is_masked_fnv1a() {
+    // Keys are persisted: pin the published FNV-1a vector for "a" (under
+    // the 62-bit mask) so a hasher change cannot slip through.
+    assert_eq!(acl::user_key("a"), 0xaf63_dc4c_8601_ec8c & ((1 << 62) - 1));
+    assert_eq!(acl::user_key(""), 0xcbf2_9ce4_8422_2325 & ((1 << 62) - 1));
+    assert!(acl::user_key("admin") < 1 << 62);
+}
+
+#[test]
+fn colliding_users_probe_to_the_next_key() {
+    let db = fresh();
+    let key = acl::user_key("bob");
+    let mut tx = db.database().begin().unwrap();
+    tx.insert(
+        acl::USERS_TABLE,
+        vec![
+            RowValue::U64(key),
+            RowValue::Text("planted".into()),
+            RowValue::I64(2),
+        ],
+    )
+    .unwrap();
+    tx.commit().unwrap();
+    // An absent name whose slot is taken by another name is still absent.
+    assert_eq!(db.user_level("bob").unwrap(), None);
+    assert!(matches!(
+        db.get_document("bob", 1),
+        Err(MediaError::Denied { .. })
+    ));
+
+    db.put_user("admin", "bob", AccessLevel::Read).unwrap();
+    assert_eq!(db.user_level("bob").unwrap(), Some(AccessLevel::Read));
+    let row_of = |k: u64| db.database().begin_read().unwrap().get(acl::USERS_TABLE, k);
+    let row = row_of(key + 1).unwrap().unwrap();
+    assert_eq!(row[1], RowValue::Text("bob".into()));
+
+    // A second put updates bob's row in place rather than adding one.
+    db.put_user("admin", "bob", AccessLevel::Write).unwrap();
+    assert_eq!(db.user_level("bob").unwrap(), Some(AccessLevel::Write));
+    assert_eq!(row_of(key + 2).unwrap(), None);
+    let tx = db.database().begin_read().unwrap();
+    assert_eq!(tx.count(acl::USERS_TABLE).unwrap(), 3);
+}
+
+#[test]
+fn legacy_sequential_users_are_rekeyed_once_at_open() {
+    let users = [
+        ("admin", AccessLevel::Admin),
+        ("alice", AccessLevel::Write),
+        ("bob", AccessLevel::Read),
+        ("carol", AccessLevel::Admin),
+    ];
+    // The layout stores had before the name key: ids 1, 2, 3, ...
+    let raw = rcmo_storage::Database::in_memory().unwrap();
+    let mut tx = raw.begin().unwrap();
+    tx.create_table(
+        acl::USERS_TABLE,
+        rcmo_storage::Schema::new(vec![
+            Column::new("ID", ColumnType::U64),
+            Column::new("NAME", ColumnType::Text),
+            Column::new("LEVEL", ColumnType::I64),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    for (i, (name, level)) in users.iter().enumerate() {
+        let id = tx
+            .insert(
+                acl::USERS_TABLE,
+                vec![
+                    RowValue::Null,
+                    RowValue::Text(name.to_string()),
+                    RowValue::I64(*level as i64),
+                ],
+            )
+            .unwrap();
+        assert_eq!(id, i as u64 + 1);
+    }
+    tx.commit().unwrap();
+
+    let db = MediaDb::with_database(raw).unwrap();
+    for (name, level) in users {
+        assert_eq!(db.user_level(name).unwrap(), Some(level), "{name}");
+    }
+    assert_eq!(db.user_level("mallory").unwrap(), None);
+    assert!(matches!(
+        db.list_documents("mallory"),
+        Err(MediaError::Denied { .. })
+    ));
+    let rows = |db: &MediaDb| {
+        let tx = db.database().begin_read().unwrap();
+        (tx.snapshot_csn(), tx.scan(acl::USERS_TABLE).unwrap())
+    };
+    let (csn, rekeyed) = rows(&db);
+    assert_eq!(rekeyed.len(), users.len());
+    assert!(rekeyed.iter().all(|r| r[0].as_u64().unwrap() > 4));
+
+    // Opening again finds the name-keyed layout and writes nothing.
+    acl::install(db.database()).unwrap();
+    assert_eq!(rows(&db), (csn, rekeyed));
+}
+
+#[test]
+fn a_permission_check_reads_a_handful_of_pages() {
+    let db = fresh();
+    for i in 0..5_000 {
+        db.put_user("admin", &format!("user-{i}"), AccessLevel::Read)
+            .unwrap();
+    }
+    // Fold the committed overlay into the data file so every page read
+    // goes through the counted page cache.
+    db.database().checkpoint().unwrap();
+    let requests = |db: &MediaDb| {
+        let s = db.database().pool_stats();
+        s.hits + s.misses
+    };
+    let before = requests(&db);
+    assert_eq!(db.user_level("user-4321").unwrap(), Some(AccessLevel::Read));
+    let pages = requests(&db) - before;
+    // B-tree root-to-leaf plus the heap page; a scan reads every page.
+    assert!((1..=8).contains(&pages), "{pages} page requests");
+}

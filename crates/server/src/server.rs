@@ -667,22 +667,20 @@ impl InteractionServer {
     /// (serialised overlay in `FLD_CM`, base pixels unchanged) and discards
     /// it from the room.
     ///
-    /// Crash-safe: the stored object is replaced atomically in place (same
-    /// id), and if the save fails for any reason the working copy is put
-    /// back into the room — annotations are never lost.
+    /// Crash-safe: only the stored overlay is rewritten, atomically and in
+    /// place (same id, same payload BLOB), and if the save fails for any
+    /// reason the working copy is put back into the room — annotations are
+    /// never lost.
     pub fn save_and_close_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
         let annotated = self.with_room(room, |r| {
             r.require_capability(user, Capability::SaveObjects)?;
             r.take_object(object_id)
         })?;
-        let result = (|| {
-            let mut obj = self.db.get_image(user, object_id)?;
-            // Only the overlay is stored inline; the pixels stay in
-            // FLD_DATA.
-            obj.cm = annotated.overlay_to_bytes();
-            self.db.update_image(user, object_id, &obj)?;
-            Ok(())
-        })();
+        // Only the overlay is stored inline; the pixels stay in FLD_DATA.
+        let result = self
+            .db
+            .update_image_overlay(user, object_id, &annotated.overlay_to_bytes())
+            .map_err(Into::into);
         if result.is_err() {
             // Failed save: restore the working copy so nothing is lost.
             let _ = self.with_room(room, |r| {

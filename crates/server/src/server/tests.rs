@@ -470,6 +470,54 @@ fn save_and_close_image_persists_annotations() {
 }
 
 #[test]
+fn save_rewrites_only_the_overlay_and_keeps_the_pixel_blob() {
+    let (srv, doc_id, image_id, _, _) = setup();
+    let stored_row = || {
+        srv.database()
+            .database()
+            .begin_read()
+            .unwrap()
+            .get(rcmo_mediadb::schema::IMAGE_TABLE, image_id)
+            .unwrap()
+            .unwrap()
+    };
+    let before = stored_row();
+    let pixels = srv.database().get_image("dr-a", image_id).unwrap().data;
+    let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
+    let _a = srv.join_default(room, "dr-a").unwrap();
+    srv.open_image(room, "dr-a", image_id).unwrap();
+    for i in 0..3 {
+        srv.act(
+            room,
+            "dr-a",
+            Action::AddLine {
+                object: image_id,
+                element: LineElement {
+                    x0: i,
+                    y0: 0,
+                    x1: 10,
+                    y1: 10 + i,
+                    intensity: 200,
+                },
+            },
+        )
+        .unwrap();
+    }
+    let elements = srv.object_elements(room, image_id).unwrap();
+    srv.save_and_close_image(room, "dr-a", image_id).unwrap();
+
+    let after = stored_row();
+    // Same payload BLOB, same name/quality/texts: only FLD_CM changed.
+    assert_eq!(after[5], before[5]);
+    assert_eq!(after[..4], before[..4]);
+    let obj = srv.database().get_image("dr-a", image_id).unwrap();
+    assert_eq!(obj.data, pixels);
+    let base = rcmo_imaging::GrayImage::from_bytes(&obj.data).unwrap();
+    let restored = AnnotatedImage::from_parts(base, &obj.cm).unwrap();
+    assert_eq!(restored.num_elements(), elements);
+}
+
+#[test]
 fn failed_save_keeps_annotations_in_the_room() {
     let (srv, doc_id, image_id, _, _) = setup();
     // "intern" may read (and thus join and annotate) but not write.
